@@ -57,12 +57,12 @@ from ..exceptions import CacheKeyError
 #: canonical form or to the serialized layout of cached values.
 SCHEMA_VERSION = 1
 
-#: Config fields excluded from cache keys.  ``kernel`` selects between
-#: byte-exact-parity implementations (pinned by
-#: ``tests/test_kernel_parity.py``), so scalar and vector runs share
-#: results.  ``enable_caches`` toggles in-run memo dicts that are
-#: likewise parity-pinned by the ``cache_ablation`` bench section.
-CONFIG_KEY_EXCLUDE = ("kernel", "enable_caches")
+#: Config fields excluded from cache keys.  ``enable_caches`` toggles
+#: in-run memo dicts and search shortcuts whose results are
+#: byte-identical to the reference path (pinned by ``tests/test_perf.py``,
+#: ``tests/test_kernel_parity.py`` and the ``cache_ablation`` bench
+#: section), so both modes share results.
+CONFIG_KEY_EXCLUDE = ("enable_caches",)
 
 
 def canonical(obj: Any) -> Any:

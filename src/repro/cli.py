@@ -79,14 +79,13 @@ from .control import (
     recovery_rows,
 )
 from .core.explore import ExplorationEngine
-from .core.kernel import KERNEL_CHOICES, KERNEL_ENV_VAR
 from .core.objective import (
     DEFAULT_WAKE_BUDGET_MS,
     OBJECTIVE_NAMES,
     make_objective,
 )
 from .core.synthesis import SynthesisConfig, synthesize
-from .exceptions import ReproError
+from .exceptions import ReproError, SpecError
 from .io.dot import save_dot
 from .io.floorplan_art import floorplan_to_ascii, save_floorplan_svg
 from .io.json_io import design_point_summary, save_topology
@@ -117,8 +116,26 @@ from .soc.partitioning import communication_partitioning, logical_partitioning
 from .soc.usecases import use_cases_for
 
 
+def _benchmark(name: str):
+    """:func:`load_benchmark` with an unknown name as a clean CLI error."""
+    try:
+        return load_benchmark(name)
+    except KeyError as exc:
+        raise SpecError(exc.args[0]) from None
+
+
+def _int_list(text: str, option: str) -> List[int]:
+    """Parse a comma-separated integer list option, e.g. ``1,2,4``."""
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise SpecError(
+            "%s expects comma-separated integers, got %r" % (option, text)
+        ) from None
+
+
 def _partitioned(name: str, islands: int, strategy: str):
-    spec = load_benchmark(name)
+    spec = _benchmark(name)
     if strategy == "logical":
         out = logical_partitioning(spec, islands)
     elif strategy == "communication":
@@ -145,7 +162,7 @@ def _objective_for(args: argparse.Namespace, spec):
     elif name == "multi_trace":
         seeds_arg = getattr(args, "trace_seeds", None)
         if seeds_arg:
-            seeds = [int(s) for s in seeds_arg.split(",") if s.strip()]
+            seeds = _int_list(seeds_arg, "--trace-seeds")
         else:
             seeds = [args.seed, args.seed + 1, args.seed + 2]
         traces = [
@@ -295,7 +312,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         allow_intermediate=not args.no_intermediate,
         seed=args.seed,
         objective=objective,
-        kernel=args.kernel,
     )
     scope, store = _cache_scope(args)
     with scope:
@@ -328,12 +344,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    counts = [int(c) for c in args.counts.split(",")]
-    base = load_benchmark(args.benchmark)
+    counts = _int_list(args.counts, "--counts")
+    base = _benchmark(args.benchmark)
     objective = _objective_for(args, base)
     engine = ExplorationEngine(
         workers=args.workers,
-        config=SynthesisConfig(seed=args.seed, kernel=args.kernel),
+        config=SynthesisConfig(seed=args.seed),
         objective=objective,
     )
     scope, store = _cache_scope(args)
@@ -882,12 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_synth)
     p_synth.add_argument("--alpha", type=float, default=0.6, help="VCG weight alpha")
     p_synth.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="routing kernel (auto resolves via $%s, default vector)" % KERNEL_ENV_VAR,
-    )
-    p_synth.add_argument(
         "--no-intermediate", action="store_true", help="forbid the intermediate NoC island"
     )
     p_synth.add_argument("--dot", help="write best topology as Graphviz DOT")
@@ -907,12 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", help="also write rows as CSV")
     p_sweep.add_argument(
         "--workers", type=int, default=1, help="parallel synthesis workers"
-    )
-    p_sweep.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default="auto",
-        help="routing kernel (auto resolves via $%s, default vector)" % KERNEL_ENV_VAR,
     )
     p_sweep.add_argument(
         "--live",

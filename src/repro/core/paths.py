@@ -27,7 +27,7 @@ and reports success or the first unroutable flow.
 Fast path
 ---------
 The synthesis sweep calls the allocator hundreds of times, so the hot
-loop is engineered around five observations:
+loop is engineered around six observations:
 
 1. the candidate switch set and the shutdown-safety transition rule
    depend only on the ``(src_island, dst_island)`` pair of a flow —
@@ -50,31 +50,19 @@ loop is engineered around five observations:
 5. for the same reason, if the 0-intermediate attempt finished without
    a single dead edge evaluation, paths through indirect switches are
    strictly dominated everywhere and the k>0 attempts are returned
-   from the k=0 result instead of re-routed (the dominance skip).
+   from the k=0 result instead of re-routed (the dominance skip);
+6. when opening the direct ``src -> dst`` link provably costs no more
+   than any two cheapest-possible edges, no multi-hop alternative can
+   beat it and the search is answered in O(1) (the **direct-open
+   dominance shortcut**; see :meth:`PathAllocator._direct_open_shortcut`
+   for the proof obligations).
 
 Cached and uncached (``use_cache=False``) runs share one cost
-implementation, so they produce byte-identical allocations; the cache
-only changes how often the arithmetic re-runs.
-
-Routing kernels
----------------
-On top of the fast path sit two interchangeable search kernels,
-selected by the ``kernel`` knob (see :mod:`repro.core.kernel`):
-
-* ``scalar`` — the historical per-edge Python loop above, always used
-  in reference mode (``use_cache=False``);
-* ``vector`` — the batched array kernel: an O(1) **direct-open
-  dominance shortcut** (when opening the direct link provably costs no
-  more than any two cheapest-possible edges, the whole search is
-  skipped; see :meth:`PathAllocator._direct_open_shortcut` for the
-  proof obligations) and, on graphs of at least
-  :data:`VECTOR_MIN_SWITCHES` switches with numpy importable, a
-  whole-frontier edge-cost evaluation over flat CSR-style arrays.
-
-Both kernels produce byte-identical design points, routes and
-objective costs — the vector arithmetic replicates the scalar float
-operation order term for term, and ties still resolve through the
-sorted-id-rank heap order.
+implementation, so they produce byte-identical allocations, routes and
+objective costs; the cache only changes how often the arithmetic
+re-runs.  The reference mode also turns off both skips (5 and 6): every
+flow that a direct reuse (4) does not answer goes through the full
+Dijkstra search, which makes it the parity oracle for the skips.
 """
 
 from __future__ import annotations
@@ -98,7 +86,6 @@ from ..obs.spans import span
 from ..perf.instrument import active_recorder
 from ..power.library import NocLibrary
 from .frequency import IslandPlan, intermediate_island_freq_mhz
-from .kernel import numpy_or_none, resolve_kernel
 from .spec import SoCSpec, TrafficFlow
 
 
@@ -150,15 +137,6 @@ class AllocationResult:
 _REUSE = "reuse"
 _OPEN = "open"
 
-#: Minimum switch count before the vector kernel routes a search
-#: through the numpy whole-frontier evaluation.  Below this, frontiers
-#: are narrow enough that numpy's fixed per-expression dispatch cost
-#: loses to the scalar loop (measured crossover sits well above the
-#: 40-switch benchmark graphs); the O(1) direct-open shortcut carries
-#: the win instead.  Module level so the parity tests can force the
-#: batched path on tiny graphs.
-VECTOR_MIN_SWITCHES = 48
-
 
 def allocate_paths(
     spec: SoCSpec,
@@ -168,7 +146,6 @@ def allocate_paths(
     num_intermediate: int = 0,
     cost_config: Optional[PathCostConfig] = None,
     use_cache: bool = True,
-    kernel: str = "auto",
 ) -> AllocationResult:
     """Build a topology for one design point and route every flow.
 
@@ -201,15 +178,11 @@ def allocate_paths(
     cost_config:
         Cost-function knobs; defaults to :class:`PathCostConfig`.
     use_cache:
-        Enable the scaffold-clone and edge-cost memoization fast path
-        (identical results either way).
-    kernel:
-        Routing-kernel selection (``auto`` / ``vector`` / ``scalar``,
-        see :mod:`repro.core.kernel`); identical results either way.
+        Enable the fast path: scaffold cloning, edge-cost memoization
+        and the search shortcuts (identical results either way).
     """
     allocator = PathAllocator(
-        spec, library, plans, partitions, cost_config, use_cache=use_cache,
-        kernel=kernel,
+        spec, library, plans, partitions, cost_config, use_cache=use_cache
     )
     return allocator.allocate(num_intermediate)
 
@@ -483,7 +456,6 @@ class PathAllocator:
         partitions: Mapping[int, Sequence[Set[str]]],
         cost_config: Optional[PathCostConfig] = None,
         use_cache: bool = True,
-        kernel: str = "auto",
     ) -> None:
         self.spec = spec
         self.library = library
@@ -491,10 +463,6 @@ class PathAllocator:
         self.partitions = partitions
         self.cfg = cost_config or PathCostConfig()
         self.use_cache = use_cache
-        # Reference mode pins the scalar kernel: cached runs default to
-        # the vector kernel, so every cached-vs-uncached determinism
-        # test doubles as a scalar-vs-vector parity check.
-        self.kernel = resolve_kernel(kernel) if use_cache else "scalar"
 
         self._base_freqs: Dict[int, float] = {
             isl: plan.freq_mhz for isl, plan in plans.items()
@@ -556,14 +524,7 @@ class PathAllocator:
         # attempts), so one build serves every clone with the same
         # intermediate count.
         self._adj_store: Dict[Tuple[int, int, int], List[Optional[tuple]]] = {}
-        # Vector-kernel mirrors of the same candidate adjacency, lowered
-        # to flat numpy arrays (one CSR-style row per popped switch):
-        # successor indices, crossing/reserve masks, size bounds, link
-        # capacity, and the attempt-invariant pieces of the static-open
-        # and traffic-e_bit cost terms.  Same keying and lifetime as
-        # _adj_store.
-        self._vec_store: Dict[Tuple[int, int, int], tuple] = {}
-        # Direct-open dominance bound of the vector kernel, computed
+        # Direct-open dominance bound (fast path only), computed
         # lazily once per allocator: (enabled, e_bit floor, static
         # floor, intra/cross e_bit floors).  See _direct_open_bound.
         self._shortcut_bound: Optional[Tuple[bool, float, float, float, float]] = None
@@ -596,14 +557,8 @@ class PathAllocator:
         self._scaffold_builds = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        # Vector-kernel counters: searches answered by the O(1)
-        # direct-open shortcut, and pops/edges that went through the
-        # batched numpy frontier instead of the scalar loop
-        # (vector_edges is also included in edge_evals, so the ratio
-        # batched/total is directly readable from one snapshot).
+        # Searches answered by the O(1) direct-open shortcut.
         self._shortcuts = 0
-        self._vec_pops = 0
-        self._vec_edges = 0
 
     @classmethod
     def for_topology(
@@ -611,7 +566,6 @@ class PathAllocator:
         topology: Topology,
         cost_config: Optional[PathCostConfig] = None,
         use_cache: bool = True,
-        kernel: str = "auto",
     ) -> "PathAllocator":
         """An allocator view over an already-routed topology.
 
@@ -635,7 +589,6 @@ class PathAllocator:
         self.partitions = {}
         self.cfg = cost_config or PathCostConfig()
         self.use_cache = use_cache
-        self.kernel = resolve_kernel(kernel) if use_cache else "scalar"
         self._base_freqs = {
             isl: f
             for isl, f in topology.island_freqs.items()
@@ -1004,22 +957,17 @@ class PathAllocator:
         # term non-negative; an exotic negative open weight could make
         # opening a parallel link beat reusing an existing one.
         open_weight_ok = cfg.open_cost_weight >= 0.0
-        # Vector kernel: the O(1) direct-open shortcut plus, on graphs
-        # large enough to amortize numpy dispatch, whole-frontier edge
-        # evaluation over the flat-array attempt state.
+        # The O(1) direct-open shortcut is part of the fast path; the
+        # reference mode routes every flow through the full search.
         shortcut_on = False
         bound: Tuple[float, ...] = ()
-        vec: Optional[list] = None
         # Outgoing pair keys per source index (subset view of
         # pair_links), so the shortcut's "could the first edge of an
         # alternative path reuse a link?" probe is O(out-degree).
         out_keys: Dict[int, List[int]] = {}
-        if self.kernel == "vector":
+        if use_memo:
             bound = self._direct_open_bound()
             shortcut_on = bound[0]
-            np_mod = numpy_or_none()
-            if np_mod is not None and n >= VECTOR_MIN_SWITCHES:
-                vec = self._vec_attempt_state(np_mod, sw_list, n)
         links_opened = 0
         via_mid = 0
         for (
@@ -1054,7 +1002,7 @@ class PathAllocator:
                                 + (lat_cross_cycles if crossing else lat_intra_cycles),
                             )
                             break
-                # Direct-open dominance shortcut (vector kernel): when
+                # Direct-open dominance shortcut (fast path only): when
                 # opening the direct src->dst link is provably at most
                 # the cost of any two cheapest-possible edges, no
                 # multi-hop alternative can beat it and the search is
@@ -1071,7 +1019,6 @@ class PathAllocator:
                 found = self._search(
                     topo, sw_list, n, adj_store, ranks, use_memo, pair_links,
                     flow, src_i, dst_i, lat_cost_intra, lat_cost_cross, port_reserve,
-                    vec=vec,
                 )
             if found is None:
                 return AllocationResult(
@@ -1129,8 +1076,6 @@ class PathAllocator:
             # enforced capacity and continuity); the per-point
             # validate_topology pass still audits the final result.
             topo.assign_route(flow, link_ids, validate=False)
-            if vec is not None:
-                self._vec_update(vec, sw_list, n, pair_links, hops)
             if touched_mid:
                 via_mid += 1
 
@@ -1143,7 +1088,7 @@ class PathAllocator:
             flows_via_intermediate=via_mid,
         )
 
-    # -- vector kernel -------------------------------------------------
+    # -- direct-open shortcut ------------------------------------------
 
     def _direct_open_bound(self) -> Tuple[bool, float, float, float, float]:
         """Direct-open shortcut soundness plus its e_bit and static floors.
@@ -1400,309 +1345,6 @@ class PathAllocator:
         self._shortcuts += 1
         return [(src_i, dst_i, _OPEN, None)], sw_cycles + lat_cycles
 
-    def _vec_attempt_state(self, np_mod, sw_list: List[Switch], n: int) -> list:
-        """Mutable flat-array mirrors of the per-attempt routing state.
-
-        ``n_in``/``n_out``/freshness per switch plus the best residual
-        capacity per directed switch pair (``-inf`` where no link
-        exists).  :meth:`_vec_update` refreshes the touched entries from
-        the ground-truth topology objects after every routed flow, so
-        the batched search never reads stale state.
-        """
-        nin = np_mod.zeros(n, dtype=np_mod.int64)
-        nout = np_mod.zeros(n, dtype=np_mod.int64)
-        for i, sw in enumerate(sw_list):
-            nin[i] = sw.n_in
-            nout[i] = sw.n_out
-        fresh = (nin == 0) & (nout == 0)
-        avail = np_mod.full(n * n, -np_mod.inf)
-        return [np_mod, nin, nout, fresh, avail]
-
-    @staticmethod
-    def _vec_update(
-        vec: list,
-        sw_list: List[Switch],
-        n: int,
-        pair_links: Dict[int, List[Link]],
-        hops: List[Tuple[int, int, str, Optional[Link]]],
-    ) -> None:
-        """Refresh the vector mirrors for every switch pair a flow touched."""
-        _np_mod, nin, nout, fresh, avail = vec
-        neg_inf = -float("inf")
-        for ui, vi, _action, _link in hops:
-            u = sw_list[ui]
-            v = sw_list[vi]
-            nin[ui] = u.n_in
-            nout[ui] = u.n_out
-            fresh[ui] = u.n_in == 0 and u.n_out == 0
-            nin[vi] = v.n_in
-            nout[vi] = v.n_out
-            fresh[vi] = v.n_in == 0 and v.n_out == 0
-            key = ui * n + vi
-            best = neg_inf
-            for link in pair_links.get(key, ()):
-                a = link.capacity_mbps - link._used_mbps
-                if a > best:
-                    best = a
-            avail[key] = best
-
-    def _vec_row(
-        self,
-        sw_list: List[Switch],
-        candidates: Tuple[int, ...],
-        uidx: int,
-        isl_a: int,
-        isl_b: int,
-        np_mod,
-    ):
-        """Array mirror of :meth:`_successor_row` for one popped switch.
-
-        Holds the attempt-invariant pieces of both cost terms, each
-        produced by the same library calls (and the same float
-        bracketing) as the scalar formulas in
-        :func:`_edge_static_open_cost` / :func:`_edge_traffic_ebit`:
-        the static term decomposes into pair idle+leak, per-endpoint
-        freshness floors, wire leakage and converter idle+leak; the
-        traffic term into wire energy, converter energy and the
-        (dynamic, port-dependent) crossbar energy the search gathers
-        from the mutable mirrors.  ``False`` marks a switch with no
-        allowed successors.
-        """
-        lib = self.library
-        cfg = self.cfg
-        mid = INTERMEDIATE_ISLAND
-        max_sizes = self._max_sizes
-        cap_by_freq = self._cap_by_freq
-        u = sw_list[uidx]
-        u_isl = u.island
-        u_freq = u.freq_mhz
-        cols = []
-        for cj in candidates:
-            if cj == uidx:
-                continue
-            v = sw_list[cj]
-            v_isl = v.island
-            if not _allowed_transition(u_isl, v_isl, isl_a, isl_b):
-                continue
-            crossing = u_isl != v_isl
-            length = (
-                cfg.nominal_cross_link_mm if crossing else cfg.nominal_intra_link_mm
-            )
-            freq = u_freq if u_freq < v.freq_mhz else v.freq_mhz
-            capacity = cap_by_freq.get(freq)
-            if capacity is None:
-                capacity = lib.link_capacity_mbps(freq)
-                cap_by_freq[freq] = capacity
-            cols.append(
-                (
-                    cj,
-                    crossing,
-                    crossing and u_isl != mid and v_isl != mid,
-                    max_sizes[v_isl],
-                    capacity,
-                    lib.link_ebit_pj(length),
-                    lib.fifo_ebit_pj if crossing else 0.0,
-                    lib.switch_idle_mw_per_mhz_per_port * (u_freq + v.freq_mhz)
-                    + 2.0 * lib.switch_leak_mw_per_port,
-                    lib.switch_idle_mw_per_mhz_base * v.freq_mhz
-                    + lib.switch_leak_mw_base,
-                    lib.link_leakage_mw(length),
-                    (
-                        lib.fifo_idle_power_mw(u_freq, v.freq_mhz)
-                        + lib.fifo_leakage_mw()
-                    )
-                    if crossing
-                    else 0.0,
-                )
-            )
-        if not cols:
-            return False
-        arr = np_mod.array
-        return (
-            arr([c[0] for c in cols], dtype=np_mod.int64),
-            arr([c[1] for c in cols], dtype=bool),
-            arr([c[2] for c in cols], dtype=bool),
-            arr([c[3] for c in cols], dtype=np_mod.int64),
-            arr([c[4] for c in cols], dtype=np_mod.float64),
-            arr([c[5] for c in cols], dtype=np_mod.float64),
-            arr([c[6] for c in cols], dtype=np_mod.float64),
-            arr([c[7] for c in cols], dtype=np_mod.float64),
-            arr([c[8] for c in cols], dtype=np_mod.float64),
-            arr([c[9] for c in cols], dtype=np_mod.float64),
-            arr([c[10] for c in cols], dtype=np_mod.float64),
-            lib.switch_idle_mw_per_mhz_base * u_freq + lib.switch_leak_mw_base,
-        )
-
-    @staticmethod
-    def _first_fitting_link(
-        pair_links: Dict[int, List[Link]], key: int, bw: float
-    ) -> Optional[Link]:
-        """First existing link of a pair with residual capacity for ``bw``.
-
-        Same order and same ``1e-9`` criterion as the scalar reuse scan.
-        """
-        for link in pair_links.get(key, ()):
-            if link.capacity_mbps - link._used_mbps + 1e-9 >= bw:
-                return link
-        return None
-
-    def _search_vector(
-        self,
-        sw_list: List[Switch],
-        n: int,
-        ranks: Tuple[List[int], List[int]],
-        pair_links: Dict[int, List[Link]],
-        flow: TrafficFlow,
-        src_i: int,
-        dst_i: int,
-        lat_cost_intra: float,
-        lat_cost_cross: float,
-        port_reserve: int,
-        vec: list,
-    ) -> Optional[Tuple[List[Tuple[int, int, str, Optional[Link]]], int]]:
-        """Dijkstra with whole-frontier numpy edge evaluation.
-
-        The heap, visitation and rank tie-breaking are identical to the
-        scalar :meth:`_search`; only the per-pop inner loop differs —
-        every allowed successor's reuse and open costs come out of a
-        handful of array expressions whose float operation order
-        replicates the scalar arithmetic term for term, so distances,
-        predecessors and therefore routes are byte-identical.  Dead
-        edges (neither arm feasible) void the intermediate-dominance
-        skip exactly as in the scalar loop.
-        """
-        np_mod, nin, nout, fresh, avail = vec
-        cfg = self.cfg
-        isl_a = sw_list[src_i].island
-        isl_b = sw_list[dst_i].island
-        key = (n, isl_a, isl_b)
-        entry = self._vec_store.get(key)
-        if entry is None:
-            allowed = {isl_a, isl_b, INTERMEDIATE_ISLAND}
-            candidates = tuple(
-                i for i, s in enumerate(sw_list) if s.island in allowed
-            )
-            entry = (candidates, [None] * n)
-            self._vec_store[key] = entry
-        candidates, rows = entry
-        bw = flow.bandwidth_mbps
-        bits_per_s = bw * units.MEGA * units.BITS_PER_BYTE
-        to_mw = units.PJ_PER_BIT_TIMES_BITS_PER_S_TO_MW
-        open_weight = cfg.open_cost_weight
-        allow_parallel = cfg.allow_parallel_links
-        lib = self.library
-        ebit_base = lib.switch_ebit_base_pj
-        ebit_pp = lib.switch_ebit_per_port_pj
-        has_reserve = port_reserve != 0
-        max_sizes = self._max_sizes
-        rank_of, idx_by_rank = ranks
-        inf = float("inf")
-        dist = np_mod.full(n, inf)
-        dist[src_i] = 0.0
-        prev: List[Optional[Tuple[int, str, Optional[Link]]]] = [None] * n
-        visited = np_mod.zeros(n, dtype=bool)
-        heap: List[Tuple[float, int]] = [(0.0, rank_of[src_i])]
-        pops = 0
-        evals = 0
-        blocked = False
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        nonzero = np_mod.nonzero
-        where = np_mod.where
-        maximum = np_mod.maximum
-        while heap:
-            d, urank = heappop(heap)
-            uidx = idx_by_rank[urank]
-            if visited[uidx]:
-                continue
-            visited[uidx] = True
-            pops += 1
-            if uidx == dst_i:
-                break
-            row = rows[uidx]
-            if row is None:
-                row = rows[uidx] = self._vec_row(
-                    sw_list, candidates, uidx, isl_a, isl_b, np_mod
-                )
-            if row is False:
-                continue
-            (
-                vrow, crossing, reserve_m, limv_base, cap,
-                link_e, fifo_e, t12, xv, wire, y, xu,
-            ) = row
-            live = ~visited[vrow]
-            n_live = int(live.sum())
-            if not n_live:
-                continue
-            evals += n_live
-            u = sw_list[uidx]
-            u_new_out = u.n_out + 1
-            if u.n_in > u_new_out:
-                u_new_out = u.n_in
-            u_fresh = u.n_in == 0 and u.n_out == 0
-            lim_u_base = max_sizes[u.island]
-            nin_v = nin[vrow]
-            nout_v = nout[vrow]
-            # Traffic term: (wire + crossbar) + converter, then
-            # (bits_per_s * e_bit) * to_mw — the scalar bracketing.
-            sw_e = ebit_base + ebit_pp * (maximum(nin_v, 1) + maximum(nout_v, 1))
-            traffic = (bits_per_s * ((link_e + sw_e) + fifo_e)) * to_mw
-            lat_vec = where(crossing, lat_cost_cross, lat_cost_intra)
-            avail_v = avail[uidx * n + vrow]
-            reuse_ok = live & (avail_v + 1e-9 >= bw)
-            cost_reuse = where(reuse_ok, traffic + lat_vec, inf)
-            new_v = maximum(nin_v + 1, nout_v)
-            if has_reserve:
-                lim_u_v = where(reserve_m, lim_u_base - port_reserve, lim_u_base)
-                lim_v_v = where(reserve_m, limv_base - port_reserve, limv_base)
-            else:
-                lim_u_v = lim_u_base
-                lim_v_v = limv_base
-            open_ok = (
-                live
-                & (u_new_out <= lim_u_v)
-                & (new_v <= lim_v_v)
-                & (cap + 1e-9 >= bw)
-            )
-            if not allow_parallel:
-                open_ok &= ~(avail_v > -inf)
-            # Static term: pair idle+leak, masked freshness floors (an
-            # inactive floor adds literal 0.0, which is exact), wire
-            # leakage, masked converter — the scalar accumulation order.
-            s = t12 + (xu if u_fresh else 0.0)
-            s = s + where(fresh[vrow], xv, 0.0)
-            s = s + wire
-            s = s + y
-            cost_open = where(open_ok, (traffic + open_weight * s) + lat_vec, inf)
-            choose_open = cost_open < cost_reuse
-            best = where(choose_open, cost_open, cost_reuse)
-            if bool(np_mod.isinf(best[live]).any()):
-                # Dead edges: same dominance-skip consequence as the
-                # scalar loop.
-                blocked = True
-            nd = d + best
-            upd = nd < (dist[vrow] - 1e-12)
-            for j in nonzero(upd)[0]:
-                vidx = int(vrow[j])
-                nj = float(nd[j])
-                dist[vidx] = nj
-                if choose_open[j]:
-                    prev[vidx] = (uidx, _OPEN, None)
-                else:
-                    prev[vidx] = (
-                        uidx,
-                        _REUSE,
-                        self._first_fitting_link(pair_links, uidx * n + vidx, bw),
-                    )
-                heappush(heap, (nj, rank_of[vidx]))
-        self._pops += pops
-        self._edge_evals += evals
-        self._vec_pops += pops
-        self._vec_edges += evals
-        if blocked:
-            self._blocked = True
-        return self._reconstruct_hops(sw_list, prev, src_i, dst_i)
-
     def _reconstruct_hops(
         self,
         sw_list: List[Switch],
@@ -1714,8 +1356,7 @@ class PathAllocator:
 
         Zero-load latency: source switch plus, per hop, the link (or
         converter crossing) and the downstream switch; NI links are
-        free — mirrors ``repro.sim.zero_load``.  Shared by both search
-        kernels.
+        free — mirrors ``repro.sim.zero_load``.
         """
         if prev[dst_i] is None and dst_i != src_i:
             return None
@@ -1838,7 +1479,6 @@ class PathAllocator:
         blocked_switches: Optional[Set[int]] = None,
         reserved: Optional[Mapping[int, float]] = None,
         allow_open: bool = True,
-        vec: Optional[list] = None,
     ) -> Optional[Tuple[List[Tuple[int, int, str, Optional[Link]]], int]]:
         """Dijkstra over the allowed switch graph.
 
@@ -1858,24 +1498,7 @@ class PathAllocator:
         specific switch indices (node-disjoint mode), ``reserved``
         charges spare-capacity reservations against link headroom, and
         ``allow_open=False`` restricts backups to existing hardware.
-
-        ``vec`` is the vector kernel's per-attempt array state; when
-        present (and no backup-mode constraint is active) the search
-        runs through the batched numpy frontier instead of this loop,
-        with byte-identical results.
         """
-        if (
-            vec is not None
-            and not latency_only
-            and forbidden_links is None
-            and blocked_switches is None
-            and reserved is None
-            and allow_open
-        ):
-            return self._search_vector(
-                sw_list, n, ranks, pair_links, flow, src_i, dst_i,
-                lat_cost_intra, lat_cost_cross, port_reserve, vec,
-            )
         cfg = self.cfg
         lib = self.library
         isl_a = sw_list[src_i].island
@@ -2077,13 +1700,11 @@ class PathAllocator:
             recorder.count("cost_cache_hits", self._cache_hits)
             recorder.count("cost_cache_misses", self._cache_misses)
             recorder.count("direct_open_shortcuts", self._shortcuts)
-            recorder.count("vector_pops", self._vec_pops)
-            recorder.count("vector_edges", self._vec_edges)
         self._pops = self._edge_evals = 0
         self._scaffold_clones = self._scaffold_builds = 0
         self._links_opened = 0
         self._cache_hits = self._cache_misses = 0
-        self._shortcuts = self._vec_pops = self._vec_edges = 0
+        self._shortcuts = 0
 
 
 # ----------------------------------------------------------------------

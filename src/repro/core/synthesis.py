@@ -99,18 +99,11 @@ class SynthesisConfig:
     max_design_points: Optional[int] = None
     #: Enable the synthesis fast path: partition results cached across
     #: the switch-count sweep, the switch/NI scaffold cloned instead of
-    #: rebuilt per routing attempt, and edge-cost terms memoized inside
-    #: path allocation.  Off reproduces the same design space through
-    #: the unmemoized reference path (used by determinism tests).
+    #: rebuilt per routing attempt, edge-cost terms memoized inside
+    #: path allocation, and the path search's dominance shortcuts.  Off
+    #: reproduces the same design space through the unmemoized,
+    #: shortcut-free reference path (used by determinism tests).
     enable_caches: bool = True
-    #: Routing-kernel selection: ``auto`` (vector unless the
-    #: ``REPRO_KERNEL`` environment variable says otherwise),
-    #: ``vector`` (batched array kernel: direct-open dominance shortcut
-    #: plus numpy whole-frontier evaluation, with a pure-Python
-    #: fallback when numpy is absent) or ``scalar`` (the historical
-    #: per-edge loop).  Byte-identical design spaces either way; the
-    #: reference mode (``enable_caches=False``) always runs scalar.
-    kernel: str = "auto"
     #: Co-synthesis objective: when set, every evaluated candidate is
     #: scored under it *inside* the sweep — points the objective
     #: rejects are recorded as failures (like a routing failure) and
@@ -155,12 +148,7 @@ def synthesize(
         catch it or inspect ``DesignSpace.failures``.)
     """
     cfg = config or SynthesisConfig()
-    with span(
-        "synthesis",
-        spec=spec.name,
-        islands=spec.num_islands,
-        kernel=cfg.kernel,
-    ) as s:
+    with span("synthesis", spec=spec.name, islands=spec.num_islands) as s:
         space = _cached_synthesize(spec, library, cfg, s)
         space.require_feasible()
         if s is not None:
@@ -294,7 +282,6 @@ def _synthesize_sweep(
             partitions,
             cost_config=cfg.path_cost,
             use_cache=cfg.enable_caches,
-            kernel=cfg.kernel,
         )
         # Allocation-tier cache: one base digest per candidate (the
         # spec/library/plans/partitions canonicalization is shared by
@@ -306,10 +293,6 @@ def _synthesize_sweep(
         alloc_base: Optional[str] = None
         if alloc_ctx is not None:
             alloc_base = allocation_base_key(alloc_ctx, plans, partitions)
-        # Per-kernel phase timer alongside the aggregate one, so a
-        # bench snapshot can attribute allocation time to the kernel
-        # that actually ran (allocator.kernel is the resolved choice).
-        alloc_phase = "allocation." + allocator.kernel
         seen_signatures: Set[Tuple[Tuple[Tuple[int, int], ...], int]] = set()
         for k_mid in range(0, mid_cap + 1):
             result = None
@@ -333,8 +316,8 @@ def _synthesize_sweep(
                         )
             alloc_from_cache = result is not None
             if result is None:
-                with maybe_phase("allocation"), maybe_phase(alloc_phase), span(
-                    "allocate", kernel=allocator.kernel, k_mid=k_mid
+                with maybe_phase("allocation"), span(
+                    "allocate", k_mid=k_mid
                 ) as alloc_span:
                     result = allocator.allocate(num_intermediate=k_mid)
                     if alloc_span is not None:

@@ -31,7 +31,7 @@ Usage::
 
     with tracing() as tracer:
         with span("synthesis", spec="d26"):
-            with span("allocation.vector", k_mid=1):
+            with span("allocate", k_mid=1):
                 ...
     print(tracer.snapshot())
 """
@@ -60,9 +60,9 @@ class SpanRecord:
     span_id: str
     #: The enclosing span's id, or ``None`` for a root span.
     parent_id: Optional[str]
-    #: Leaf name (``allocation.vector``).
+    #: Leaf name (``allocate``).
     name: str
-    #: ``/``-joined ancestry (``synthesis/allocation.vector``).
+    #: ``/``-joined ancestry (``synthesis/allocate``).
     path: str
     #: Start-order index within the process stream (monotonic).
     seq: int

@@ -1,4 +1,4 @@
-"""Shared spec builders for the test suite.
+"""Shared spec builders and parity checks for the test suite.
 
 Kept out of ``conftest.py`` so test modules can import them explicitly:
 ``benchmarks/`` has its own conftest, and two same-named ``conftest``
@@ -9,7 +9,16 @@ live in ``conftest.py``.
 
 from __future__ import annotations
 
-from repro import CoreSpec, SoCSpec, TrafficFlow, build_spec
+from repro import (
+    CoreSpec,
+    SoCSpec,
+    SynthesisConfig,
+    TrafficFlow,
+    build_spec,
+    synthesize,
+)
+from repro.perf import recording
+from repro.power.library import DEFAULT_LIBRARY
 
 
 def make_tiny_spec(num_islands: int = 2) -> SoCSpec:
@@ -44,3 +53,52 @@ def make_tiny_spec(num_islands: int = 2) -> SoCSpec:
     else:
         raise ValueError("tiny spec supports 1..3 islands")
     return build_spec("tiny%d" % num_islands, cores, flows, assignment)
+
+
+def space_signature(space):
+    """Every observable output of a design space, exact floats."""
+    points = []
+    for p in space.points:
+        routes = tuple(
+            (key, r.components, r.links)
+            for key, r in sorted(p.topology.routes.items())
+        )
+        points.append(
+            (
+                p.index,
+                p.label(),
+                tuple(sorted(p.switch_counts.items())),
+                p.num_intermediate_requested,
+                p.num_intermediate_used,
+                routes,
+                p.noc_power.dynamic_mw,
+                p.noc_power.fig2_dynamic_mw,
+                p.noc_power.leakage_mw,
+                tuple(sorted(p.noc_power.dynamic_by_island.items())),
+                p.soc_power.total_mw,
+                p.avg_latency_cycles,
+                None
+                if p.objective_result is None
+                else (p.objective_result.cost, p.objective_result.feasible),
+            )
+        )
+    return (space.spec_name, tuple(points), tuple(space.failures))
+
+
+def assert_fast_matches_reference(spec, library=DEFAULT_LIBRARY, **cfg):
+    """Synthesize on the fast path and in reference mode; the spaces
+    must be identical.  Returns both runs' perf counters."""
+    counters = []
+    spaces = []
+    for enable_caches in (True, False):
+        with recording() as rec:
+            spaces.append(
+                synthesize(
+                    spec,
+                    library,
+                    SynthesisConfig(enable_caches=enable_caches, **cfg),
+                )
+            )
+        counters.append(rec.counters)
+    assert space_signature(spaces[0]) == space_signature(spaces[1])
+    return counters

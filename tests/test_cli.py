@@ -1,7 +1,12 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -29,6 +34,39 @@ class TestParser:
             build_parser().parse_args(
                 ["sweep", "d26_media", "--objective", "vibes"]
             )
+
+
+# Imports repro.cli in a fresh interpreter and fails if numpy was even
+# looked up — an optional ``try: import numpy`` counts too, so the check
+# holds whether or not numpy is installed.
+_COLD_IMPORT_PROBE = """
+import sys
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise SystemExit("numpy import attempted")
+        return None
+
+sys.meta_path.insert(0, Probe())
+import repro.cli
+sys.exit("numpy" in sys.modules)
+"""
+
+
+class TestColdImport:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """The CLI and everything it imports eagerly stay numpy-free, so
+        `repro-noc` start-up never pays for numpy."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
 
 class TestCommands:
@@ -64,8 +102,23 @@ class TestCommands:
                 assert f.read()
 
     def test_synth_unknown_benchmark_fails_cleanly(self, capsys):
-        with pytest.raises(KeyError):
-            main(["synth", "d999"])
+        assert main(["synth", "d999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown benchmark 'd999'")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("counts", ["1,,2", "1,two", ""])
+    def test_sweep_bad_counts_fails_cleanly(self, capsys, counts):
+        assert main(["sweep", "d12_auto", "--counts", counts]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --counts expects comma-separated integers")
+
+    def test_synth_bad_trace_seeds_fails_cleanly(self, capsys):
+        argv = ["synth", "d12_auto", "--objective", "multi_trace",
+                "--trace-seeds", "1,x"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trace-seeds expects comma-separated integers")
 
     def test_sweep(self, capsys, tmp_path):
         csv = str(tmp_path / "sweep.csv")

@@ -1,16 +1,17 @@
-"""Scalar-vs-vector kernel parity: byte-identical design spaces.
+"""Path-allocation kernel parity: the fast path against the reference.
 
-The vector kernel's contract (see ``repro.core.kernel``) is that every
-observable synthesis output — design points, routes, power and latency
-figures, objective costs, even the failure list — is *bit-identical*
-to the scalar reference.  These tests compare exact floats, no
-rounding: any drift in accumulation order or tie-breaking fails here
-before it can silently move a benchmark number.
+Path allocation has one kernel: direct reuse, then the direct-open
+shortcut, then the scalar Dijkstra ``_search``.  The shortcut and the
+intermediate-dominance skip run only on the fast path
+(``enable_caches=True``); the reference mode routes every flow through
+the full search.  Their contract is that every observable synthesis
+output — design points, routes, power and latency figures, objective
+costs, even the failure list — is *bit-identical* between the two.
+These tests compare exact floats, no rounding: any drift in tie-breaking
+fails here before it can silently move a benchmark number.
 
-The numpy frontier only engages above
-:data:`repro.core.paths.VECTOR_MIN_SWITCHES`; the forced-threshold
-tests monkeypatch it to 0 so the batched path is exercised even on the
-small fixtures.
+``test_perf.py`` covers the same contract at ``max_intermediate=1``;
+the cases here run the default config and the shortcut-specific edges.
 """
 
 from __future__ import annotations
@@ -19,173 +20,98 @@ import dataclasses
 
 import pytest
 
-from repro import SynthesisConfig, synthesize
-from repro.core import paths as paths_mod
-from repro.core.kernel import HAVE_NUMPY
 from repro.core.objective import StaticLatencyObjective
+from repro.core.paths import PathCostConfig
+from repro.power.library import DEFAULT_LIBRARY
 
-pytestmark = pytest.mark.kernel
-
-
-def _scalar(**kw) -> SynthesisConfig:
-    return SynthesisConfig(kernel="scalar", **kw)
-
-
-def _vector(**kw) -> SynthesisConfig:
-    return SynthesisConfig(kernel="vector", **kw)
-
-
-def space_signature(space):
-    """Every observable output of a design space, exact floats."""
-    points = []
-    for p in space.points:
-        routes = tuple(
-            (key, r.components, r.links)
-            for key, r in sorted(p.topology.routes.items())
-        )
-        points.append(
-            (
-                p.index,
-                p.label(),
-                tuple(sorted(p.switch_counts.items())),
-                p.num_intermediate_requested,
-                p.num_intermediate_used,
-                routes,
-                p.noc_power.dynamic_mw,
-                p.noc_power.fig2_dynamic_mw,
-                p.noc_power.leakage_mw,
-                tuple(sorted(p.noc_power.dynamic_by_island.items())),
-                p.soc_power.total_mw,
-                p.avg_latency_cycles,
-                None
-                if p.objective_result is None
-                else (p.objective_result.cost, p.objective_result.feasible),
-            )
-        )
-    return (space.spec_name, tuple(points), tuple(space.failures))
-
-
-def assert_kernels_agree(spec, scalar_cfg, vector_cfg):
-    s = synthesize(spec, config=scalar_cfg)
-    v = synthesize(spec, config=vector_cfg)
-    assert space_signature(s) == space_signature(v)
+from _helpers import assert_fast_matches_reference
 
 
 class TestParity:
     def test_tiny(self, tiny_spec):
-        assert_kernels_agree(tiny_spec, _scalar(), _vector())
+        assert_fast_matches_reference(tiny_spec)
 
     def test_tiny_single_island(self, tiny_spec_1isl):
-        assert_kernels_agree(tiny_spec_1isl, _scalar(), _vector())
+        assert_fast_matches_reference(tiny_spec_1isl)
 
     def test_tiny_with_intermediate_sweep(self, tiny_spec):
-        assert_kernels_agree(
-            tiny_spec,
-            _scalar(max_intermediate=2),
-            _vector(max_intermediate=2),
-        )
+        assert_fast_matches_reference(tiny_spec, max_intermediate=2)
 
     def test_d26_logical(self, d26_log6):
-        assert_kernels_agree(
-            d26_log6,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
-        )
+        assert_fast_matches_reference(d26_log6)
 
     def test_d26_communication(self, d26_com4):
-        assert_kernels_agree(
-            d26_com4,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
-        )
+        fast, reference = assert_fast_matches_reference(d26_com4)
+        # The direct-open shortcut is part of the fast path only.
+        assert fast["direct_open_shortcuts"] > 0
+        assert reference.get("direct_open_shortcuts", 0) == 0
 
     def test_objective_costs_match(self, tiny_spec):
-        obj = StaticLatencyObjective()
-        assert_kernels_agree(
-            tiny_spec, _scalar(objective=obj), _vector(objective=obj)
+        assert_fast_matches_reference(
+            tiny_spec, objective=StaticLatencyObjective()
         )
+
+    @pytest.mark.parametrize(
+        "library, path_cost",
+        [
+            (
+                dataclasses.replace(DEFAULT_LIBRARY, fifo_leak_mw=-0.05),
+                PathCostConfig(),
+            ),
+            (DEFAULT_LIBRARY, PathCostConfig(open_cost_weight=-0.1)),
+        ],
+        ids=["negative_library_term", "negative_open_weight"],
+    )
+    def test_negative_cost_term_disables_shortcut(
+        self, d26_com4, library, path_cost
+    ):
+        """The shortcut's dominance proof needs non-negative cost
+        terms; with one negative it must turn itself off, and the fast
+        path must still match the reference."""
+        fast, _ = assert_fast_matches_reference(
+            d26_com4, library=library, max_intermediate=1, path_cost=path_cost
+        )
+        assert fast.get("direct_open_shortcuts", 0) == 0
 
     @pytest.mark.slow
     def test_d38(self):
         from repro.soc.benchmarks import load_benchmark
         from repro.soc.partitioning import communication_partitioning
 
-        spec = communication_partitioning(load_benchmark("d38_media"), 4)
-        assert_kernels_agree(
-            spec,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
+        assert_fast_matches_reference(
+            communication_partitioning(load_benchmark("d38_media"), 4),
+            max_intermediate=1,
         )
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n_cores", [80, 120])
+    def test_generated_soc(self, n_cores):
+        """Generated 4-island SoCs large enough that most flows take the
+        direct-open shortcut and the rest a long Dijkstra search."""
+        from repro.soc.generator import GeneratorConfig, generate_soc
+        from repro.soc.partitioning import communication_partitioning
 
-class TestForcedNumpyFrontier:
-    """Drive the batched frontier below its size threshold."""
-
-    @pytest.fixture(autouse=True)
-    def _force_vector_path(self, monkeypatch):
-        monkeypatch.setattr(paths_mod, "VECTOR_MIN_SWITCHES", 0)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_tiny_forced(self, tiny_spec):
-        assert_kernels_agree(tiny_spec, _scalar(), _vector())
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_d26_forced(self, d26_log6):
-        assert_kernels_agree(
-            d26_log6,
-            _scalar(max_intermediate=1),
-            _vector(max_intermediate=1),
+        spec = generate_soc(
+            GeneratorConfig(
+                name="gen%d" % n_cores, num_cores=n_cores, num_groups=4, seed=7
+            )
         )
-
-    def test_without_numpy_falls_back(self, tiny_spec, monkeypatch):
-        """The vector kernel stays correct when numpy is absent."""
-        monkeypatch.setattr(paths_mod, "numpy_or_none", lambda: None)
-        assert_kernels_agree(tiny_spec, _scalar(), _vector())
+        fast, _ = assert_fast_matches_reference(
+            communication_partitioning(spec, 4), max_intermediate=1
+        )
+        assert fast["direct_open_shortcuts"] > 0
+        assert fast["dijkstra_pops"] > 0
 
 
 class TestReferenceMode:
-    def test_uncached_pins_scalar(self, tiny_spec):
-        """``enable_caches=False`` is the scalar reference even when the
-        config asks for the vector kernel — every cached-vs-uncached
-        determinism test therefore doubles as a kernel parity check."""
-        cached = synthesize(tiny_spec, config=_vector())
-        reference = synthesize(
-            tiny_spec, config=_vector(enable_caches=False)
+    def test_uncached_pins_scalar(self, d26_com4):
+        """``enable_caches=False`` pins the bare scalar search: no flow
+        takes the direct-open shortcut and no k>0 attempt is skipped,
+        so every cached-vs-uncached determinism test doubles as a
+        kernel parity check."""
+        _, reference = assert_fast_matches_reference(
+            d26_com4, max_intermediate=2
         )
-        assert space_signature(cached) == space_signature(reference)
-
-    def test_auto_env_override(self, tiny_spec, monkeypatch):
-        from repro.core.kernel import KERNEL_ENV_VAR, resolve_kernel
-
-        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
-        assert resolve_kernel("auto") == "scalar"
-        assert resolve_kernel("vector") == "vector"  # pin beats env
-        a = synthesize(tiny_spec, config=SynthesisConfig(kernel="auto"))
-        b = synthesize(tiny_spec, config=_scalar())
-        assert space_signature(a) == space_signature(b)
-
-
-class TestEdgeCostCacheUnderVector:
-    def test_open_invalidates_under_vector_routing(self, tiny_spec):
-        """Routing with the vector kernel keeps the object-level cache
-        honest: entries for switches whose port counts changed during
-        allocation recompute to the same values a fresh cache yields."""
-        from repro.core.paths import EdgeCostCache, PathCostConfig
-
-        space = synthesize(tiny_spec, config=_vector())
-        topo = space.best_by_power().topology
-        cfg = PathCostConfig()
-        cache = EdgeCostCache(topo, cfg)
-        sw = list(topo.switches.values())
-        if len(sw) < 2:
-            pytest.skip("need two switches")
-        u, v = sw[0], sw[1]
-        first = cache.static_open_cost(u, v)
-        ebit_first = cache.traffic_ebit(u, v)
-        assert cache.is_current(u.id, v.id)
-        cache.invalidate_switch(u.id)
-        assert not cache.is_current(u.id, v.id)
-        # Recomputation after invalidation reproduces the exact terms.
-        assert cache.static_open_cost(u, v) == first
-        assert cache.traffic_ebit(u, v) == ebit_first
-        assert cache.is_current(u.id, v.id)
+        assert reference.get("direct_open_shortcuts", 0) == 0
+        assert reference.get("intermediate_attempts_skipped", 0) == 0
+        assert reference["dijkstra_pops"] > 0

@@ -1,10 +1,16 @@
 """Fast-path plumbing: instrumentation, cost caches, determinism.
 
 The synthesis fast path (scaffold cloning, partition memoization,
-edge-cost caching) is only acceptable if it is invisible in the
+edge-cost caching, and the path search's intermediate-dominance skip
+and direct-open shortcut) is only acceptable if it is invisible in the
 results: ``enable_caches`` on and off must yield byte-identical design
-spaces.  These tests pin that contract, plus the cache-invalidation
-semantics and the PerfRecorder used to observe the hot path.
+spaces — design points, routes, power and latency figures, objective
+costs and the failure list, compared as exact floats.  These tests pin
+that contract, plus the cache-invalidation semantics and the
+PerfRecorder used to observe the hot path.  The path search's own
+parity cases (default config, objective costs, the shortcut's
+self-disabling, the ``slow`` large-SoC legs) are in
+``test_kernel_parity.py``.
 """
 
 from __future__ import annotations
@@ -17,15 +23,11 @@ from repro.core.paths import EdgeCostCache, PathAllocator, PathCostConfig
 from repro.perf import PerfRecorder, active_recorder, recording
 from repro.power.library import DEFAULT_LIBRARY
 
-from _helpers import make_tiny_spec
-
-
-def space_signature(space):
-    """Order-sensitive identity of every point in a design space."""
-    return [
-        (p.label(), p.power_mw, p.avg_latency_cycles, p.total_switches)
-        for p in space.points
-    ]
+from _helpers import (
+    assert_fast_matches_reference,
+    make_tiny_spec,
+    space_signature,
+)
 
 
 class TestPerfRecorder:
@@ -139,6 +141,31 @@ class TestEdgeCostCache:
         assert cache.hits == 1 and cache.misses == 1
         assert cache.traffic_ebit(u, w) == value
 
+    def test_invalidation_on_routed_topology(self):
+        """On a topology routed by the fast path, entries stay exact:
+        invalidation alone recomputes the same terms, and after a
+        further link open the recomputed terms equal a fresh cache's."""
+        topo = synthesize(make_tiny_spec(3)).best_by_power().topology
+        cfg = PathCostConfig()
+        cache = EdgeCostCache(topo, cfg)
+        u, v = list(topo.switches.values())[:2]
+        static = cache.static_open_cost(u, v)
+        ebit = cache.traffic_ebit(u, v)
+        assert cache.is_current(u.id, v.id)
+        cache.invalidate_switch(u.id)
+        assert not cache.is_current(u.id, v.id)
+        assert cache.static_open_cost(u, v) == static
+        assert cache.traffic_ebit(u, v) == ebit
+        assert cache.is_current(u.id, v.id)
+
+        topo.open_link(u.id, v.id)
+        cache.invalidate_switch(u.id)
+        cache.invalidate_switch(v.id)
+        fresh = EdgeCostCache(topo, cfg)
+        assert cache.static_open_cost(u, v) == fresh.static_open_cost(u, v)
+        assert cache.traffic_ebit(u, v) == fresh.traffic_ebit(u, v)
+        assert cache.traffic_ebit(u, v) > ebit  # v gained an input port
+
 
 class TestAllocatorCaching:
     def test_allocator_cached_matches_uncached(self, tiny_spec):
@@ -210,15 +237,8 @@ class TestIntermediateDominanceSkip:
 class TestSynthesisDeterminism:
     CFG = dict(max_intermediate=1)
 
-    def assert_identical_spaces(self, spec):
-        cached = synthesize(
-            spec, config=SynthesisConfig(enable_caches=True, **self.CFG)
-        )
-        uncached = synthesize(
-            spec, config=SynthesisConfig(enable_caches=False, **self.CFG)
-        )
-        assert space_signature(cached) == space_signature(uncached)
-        assert cached.failures == uncached.failures
+    def assert_identical_spaces(self, spec, **cfg):
+        return assert_fast_matches_reference(spec, **dict(self.CFG, **cfg))
 
     def test_tiny_spec_identical(self):
         self.assert_identical_spaces(make_tiny_spec(2))
