@@ -1,13 +1,13 @@
 """Content-addressed synthesis cache (ROADMAP item 1, storage half).
 
-Canonical hashing of the synthesis inputs (:mod:`repro.cache.keys`), a
-two-tier memo store (:mod:`repro.cache.store`) and the active-store
-context (:mod:`repro.cache.context`) that ``core/synthesis.py`` probes
-at three granularities: full design spaces, island partitions and
-per-candidate path allocations.  See ``docs/caching.md``.
+Canonical hashing of the synthesis inputs (:mod:`repro.cache.keys`) and
+a two-tier memo store (:mod:`repro.cache.store`).  :func:`caching` puts
+a store in the run context's ``store`` slot, which
+``core/synthesis.py`` probes at three granularities: full design
+spaces, island partitions and per-candidate path allocations.  See
+``docs/caching.md``.
 """
 
-from .context import active_store, caching, set_store
 from .keys import (
     SCHEMA_VERSION,
     allocation_base_key,
@@ -24,7 +24,14 @@ from .signatures import (
     design_space_signature,
     partition_signature,
 )
-from .store import CacheStats, CacheStore, DiskTier, MemoryTier, default_cache_dir
+from .store import (
+    CacheStats,
+    CacheStore,
+    DiskTier,
+    MemoryTier,
+    caching,
+    default_cache_dir,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -32,7 +39,6 @@ __all__ = [
     "CacheStore",
     "DiskTier",
     "MemoryTier",
-    "active_store",
     "allocation_base_key",
     "allocation_context_key",
     "allocation_key",
@@ -45,6 +51,5 @@ __all__ = [
     "fingerprint",
     "partition_key",
     "partition_signature",
-    "set_store",
     "vcg_key",
 ]

@@ -33,11 +33,12 @@ import json
 import os
 import pickle
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..exceptions import CacheError
-from ..perf.instrument import active_recorder
+from ..obs.context import current, scope
 from .keys import SCHEMA_VERSION
 
 _MAGIC = "repro-noc"
@@ -407,7 +408,7 @@ class CacheStore:
                 self._record_hit("disk", kind)
                 return entry
         self.stats.incr("misses.%s" % kind)
-        rec = active_recorder()
+        rec = current().perf
         if rec is not None:
             rec.count("cache_misses")
         return None
@@ -439,7 +440,7 @@ class CacheStore:
     def _record_hit(self, tier: str, kind: str) -> None:
         self.stats.incr("hits.%s.%s" % (tier, kind))
         self._hit_seq += 1
-        rec = active_recorder()
+        rec = current().perf
         if rec is not None:
             rec.count("cache_hits")
 
@@ -516,3 +517,15 @@ class CacheStore:
         state["memory"] = MemoryTier(tier.max_bytes, tier.max_entries)
         state["stats"] = CacheStats()
         return state
+
+
+@contextmanager
+def caching(store: CacheStore) -> Iterator[CacheStore]:
+    """Fill the run context's ``store`` slot for a ``with`` block.
+
+    Synthesis cache points read that slot; with no store installed
+    (the default) every path runs cold, so library users opt in
+    explicitly.
+    """
+    with scope(store=store):
+        yield store

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..arch.topology import FlowKey
-from ..obs.stream import active_bus as _active_bus
+from ..obs.context import current
 
 #: Telemetry event kinds, in per-timestamp presentation order.
 TELEMETRY_KINDS: Tuple[str, ...] = (
@@ -78,7 +78,7 @@ def publish_telemetry(event: TelemetryEvent, bus=None) -> bool:
     in ``attrs`` rather than the droppable ``timing`` block.  Returns
     whether an event was published.
     """
-    target = bus if bus is not None else _active_bus()
+    target = bus if bus is not None else current().bus
     if target is None:
         return False
     target.emit(

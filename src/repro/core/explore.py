@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import InfeasibleError, SpecError
-from ..obs.spans import SpanRecorder, active_tracer, span, tracing
-from ..obs.stream import EventBus, active_bus, streaming
-from ..perf.instrument import PerfRecorder, active_recorder, recording
+from ..obs.context import RunContext, current, reset, scope
+from ..obs.spans import SpanRecorder, span
+from ..obs.stream import EventBus
+from ..perf.instrument import PerfRecorder
 from ..power.gating import GatingModel
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..runtime.trace import UseCaseTrace
@@ -197,10 +198,10 @@ class _TaskDescriptor:
     library_diff: Optional[Mapping[str, object]] = None
     library_full: Optional[NocLibrary] = None
     select: Optional[Callable[[DesignSpace], DesignPoint]] = None
-    #: When set, the worker records the task under fresh perf/span
-    #: recorders and ships their snapshots home alongside the record —
-    #: the parent merges them so parallel sweeps lose no observability.
-    collect_obs: bool = False
+    #: Observer slots filled in the parent's run context: the worker
+    #: runs the task under fresh instances of exactly these and ships
+    #: one context snapshot home for the parent to merge.
+    observe: Tuple[str, ...] = ()
 
 
 #: Per-worker sweep context installed by :func:`_pool_init`:
@@ -221,31 +222,25 @@ def _pool_init(
     start method the argument pickle is the only per-worker cost and the
     large objects behind it stay copy-on-write shared with the parent.
 
-    ``cache_store`` carries the parent's active
-    :class:`~repro.cache.store.CacheStore` into the worker.  Under
-    ``fork`` the worker inherits the parent's store module-global —
-    including its warm in-memory tier, copy-on-write shared — so the
-    shipped store only installs itself where nothing is active yet
-    (spawn platforms, whose pickled copy drops memory-tier contents
-    and re-reads from disk).
+    The worker's run context starts fresh, holding only
+    ``cache_store`` — the parent's store, or ``None``: a forked worker
+    would otherwise inherit whatever recorder, tracer and bus the
+    parent had installed when it forked.  Under ``fork`` the store
+    arrives with its warm in-memory tier, copy-on-write shared; a
+    ``spawn`` worker's pickled copy drops the memory tier and re-reads
+    from disk.
     """
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = (list(specs), library, config, select)
-    if cache_store is not None:
-        from ..cache.context import active_store, set_store
-
-        if active_store() is None:
-            set_store(cache_store)
+    reset(store=cache_store)
 
 
 def _execute_descriptor(desc: _TaskDescriptor):
     """Rehydrate a descriptor against the worker context and run it.
 
-    Returns ``(record, obs_payload)``: the payload is ``None`` unless
-    the descriptor asked for observability capture or a cache store is
-    active.  It carries the worker-side :class:`PerfRecorder` /
-    :class:`SpanRecorder` snapshots and the cache hit/miss counter
-    delta this task produced, for the parent to merge.
+    Returns ``(record, payload)``: the payload is the task context's
+    :meth:`~repro.obs.context.RunContext.snapshot` — ``None`` when the
+    parent observes nothing and no store is installed.
     """
     assert _WORKER_CONTEXT is not None, "worker pool not initialized"
     specs, base_library, base_config, base_select = _WORKER_CONTEXT
@@ -261,35 +256,25 @@ def _execute_descriptor(desc: _TaskDescriptor):
     elif desc.library_diff:
         library = dataclasses.replace(base_library, **dict(desc.library_diff))
     select = desc.select if desc.select is not None else base_select
-    from ..cache.context import active_store
-
-    store = active_store()
-    stats_before = store.stats.snapshot() if store is not None else None
-    if not desc.collect_obs:
+    with scope(
+        perf=PerfRecorder() if "perf" in desc.observe else None,
+        tracer=SpanRecorder() if "tracer" in desc.observe else None,
+        bus=EventBus(process="worker") if "bus" in desc.observe else None,
+    ) as ctx:
+        if ctx.bus is not None:
+            ctx.bus.emit(
+                "heartbeat",
+                "task",
+                attrs={"phase": "start", "knobs": dict(desc.knobs)},
+            )
         record = _run_one(spec, library, config, desc.knobs, select)
-        if store is None:
-            return record, None
-        return record, {"cache": store.stats.diff(stats_before)}
-    with recording(PerfRecorder()) as rec, tracing(SpanRecorder()) as tracer, \
-            streaming(EventBus(process="worker")) as bus:
-        bus.emit(
-            "heartbeat",
-            "task",
-            attrs={"phase": "start", "knobs": dict(desc.knobs)},
-        )
-        record = _run_one(spec, library, config, desc.knobs, select)
-        bus.emit(
-            "heartbeat",
-            "task",
-            attrs={"phase": "end", "feasible": record.feasible},
-        )
-        # Drain (not snapshot): each result ships exactly this task's
-        # events; the parent relabels the batch ``task<i>`` on ingest.
-        events = bus.drain_snapshot()
-    payload = {"perf": rec.snapshot(), "spans": tracer.snapshot(), "events": events}
-    if store is not None:
-        payload["cache"] = store.stats.diff(stats_before)
-    return record, payload
+        if ctx.bus is not None:
+            ctx.bus.emit(
+                "heartbeat",
+                "task",
+                attrs={"phase": "end", "feasible": record.feasible},
+            )
+    return record, ctx.snapshot()
 
 
 def _dataclass_diff(base: object, value: object):
@@ -410,11 +395,12 @@ class ExplorationEngine:
         self._pool_key: Optional[tuple] = None
         self._pool_refs: tuple = ()
         #: In-flight futures of the current parallel :meth:`run`, with
-        #: their deterministic ``task<i>`` labels and a merged flag —
-        #: :meth:`close` flushes the obs payloads of completed tasks
-        #: the result loop never reached (mid-sweep teardown).
+        #: their deterministic ``task<i>`` labels and a merged flag,
+        #: and the run context they merge into — :meth:`close` flushes
+        #: the payloads of completed tasks the result loop never
+        #: reached (mid-sweep teardown).
         self._inflight: List[Dict[str, object]] = []
-        self._obs_targets: Optional[tuple] = None
+        self._inflight_ctx: Optional[RunContext] = None
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -422,10 +408,10 @@ class ExplorationEngine:
         """Shut down the worker pool (idempotent; serial engines no-op).
 
         Tasks still queued are cancelled, running ones are allowed to
-        finish, and the obs payloads (perf/span/event/cache snapshots)
-        of any *completed but unmerged* tasks are flushed into the
-        recorders that were active when the sweep started — a pool torn
-        down mid-sweep loses no observability.
+        finish, and the context snapshots of any *completed but
+        unmerged* tasks are merged into the run context the sweep
+        started under — a pool torn down mid-sweep loses no
+        observability.
         """
         pool, self._pool = self._pool, None
         self._pool_key = None
@@ -435,10 +421,10 @@ class ExplorationEngine:
         self._flush_inflight()
 
     def _flush_inflight(self) -> int:
-        """Merge obs payloads of completed-but-unmerged tasks; count them."""
+        """Merge snapshots of completed-but-unmerged tasks; count them."""
         inflight, self._inflight = self._inflight, []
-        targets, self._obs_targets = self._obs_targets, None
-        if not inflight or targets is None:
+        ctx, self._inflight_ctx = self._inflight_ctx, None
+        if not inflight or ctx is None:
             return 0
         flushed = 0
         for entry in inflight:
@@ -452,27 +438,9 @@ class ExplorationEngine:
             ):
                 continue
             _, payload = future.result()  # type: ignore[attr-defined]
-            self._merge_payload(str(entry["label"]), payload, targets)
+            ctx.merge(payload, str(entry["label"]))
             flushed += 1
         return flushed
-
-    @staticmethod
-    def _merge_payload(label: str, payload, targets: tuple) -> None:
-        """Fold one worker obs payload into the parent-side recorders."""
-        if payload is None:
-            return
-        parent_rec, parent_tracer, parent_bus, parent_store = targets
-        if parent_rec is not None and "perf" in payload:
-            parent_rec.merge_snapshot(payload["perf"])
-        if parent_tracer is not None and "spans" in payload:
-            parent_tracer.merge(payload["spans"], process=label)
-        if parent_bus is not None and "events" in payload:
-            parent_bus.ingest(payload["events"], process=label)
-        if parent_store is not None and "cache" in payload:
-            # Worker hit/miss deltas fold into the parent store's
-            # stats, so sweep-level cache accounting covers the
-            # whole pool, not just the parent process.
-            parent_store.stats.merge(payload["cache"])
 
     def __enter__(self) -> "ExplorationEngine":
         return self
@@ -496,9 +464,7 @@ class ExplorationEngine:
         case for benchmarks and iterative exploration — reuses the
         warm pool and ships only descriptors.
         """
-        from ..cache.context import active_store
-
-        store = active_store()
+        store = current().store
         key = (
             self.workers,
             id(self.library),
@@ -524,42 +490,41 @@ class ExplorationEngine:
     def run(self, tasks: Sequence[SweepTask]) -> List[SweepRecord]:
         """Execute tasks, preserving input order in the output.
 
-        When the caller has an active :func:`~repro.perf.active_recorder`
-        or :func:`~repro.obs.active_tracer`, parallel runs ask each
-        worker to capture its own perf/span snapshots and merge them
-        back here — serial and parallel sweeps then observe the same
-        counters (workers used to drop them silently).  Merged worker
-        span streams are relabelled ``task<i>`` by submission index, so
-        the combined trace stays deterministic even though worker pids
-        and scheduling are not.
+        What a caller observes does not depend on ``workers``.  A
+        parallel run gives each task fresh instances of the observer
+        slots filled in the caller's run context (perf recorder,
+        tracer, bus) and merges the one snapshot each task ships back
+        into that context, so counters, phase seconds, spans, span
+        events and cache stats match the serial run.  Merged worker
+        streams are relabelled ``task<i>`` by submission index (each
+        numbers its spans from zero), so the combined trace and feed
+        stay deterministic even though worker pids and scheduling are
+        not.  Both paths emit the same ``progress`` feed, except that
+        ``sweep.start`` reports the pool width; only pool workers add
+        ``heartbeat`` liveness events.
         """
         tasks = list(tasks)
-        if self.workers == 1 or len(tasks) <= 1:
-            bus = active_bus()
-            if bus is None:
-                return [_execute_task(t) for t in tasks]
-            # Streaming serial sweep: same progress feed as the pool
-            # path, so live observers need not care about ``workers``.
+        ctx = current()
+        serial = self.workers == 1 or len(tasks) <= 1
+        if serial and ctx.bus is None:
+            return [_execute_task(t) for t in tasks]
+        if serial:
+            workers, results = 1, self._serial_results(tasks, ctx)
+        else:
+            workers, results = self.workers, self._pool_results(tasks, ctx)
+        bus = ctx.bus
+        if bus is not None:
             bus.emit(
                 "progress",
                 "sweep.start",
-                attrs={"tasks": len(tasks), "workers": 1},
+                attrs={"tasks": len(tasks), "workers": workers},
             )
-            from ..cache.context import active_store
-
-            store = active_store()
-            records = []
-            for i, t in enumerate(tasks):
-                before = store.stats.snapshot() if store is not None else None
-                record = _execute_task(t)
-                records.append(record)
-                self._emit_task_progress(
-                    bus,
-                    i,
-                    len(tasks),
-                    record,
-                    cache=store.stats.diff(before) if store is not None else None,
-                )
+        records: List[SweepRecord] = []
+        for i, (record, cache) in enumerate(results):
+            records.append(record)
+            if bus is not None:
+                self._emit_task_progress(bus, i, len(tasks), record, cache)
+        if bus is not None:
             bus.emit(
                 "progress",
                 "sweep.done",
@@ -568,18 +533,27 @@ class ExplorationEngine:
                     "feasible": sum(1 for r in records if r.feasible),
                 },
             )
-            return records
-        from ..cache.context import active_store
+        return records
 
-        parent_rec = active_recorder()
-        parent_tracer = active_tracer()
-        parent_bus = active_bus()
-        parent_store = active_store()
-        collect = (
-            parent_rec is not None
-            or parent_tracer is not None
-            or parent_bus is not None
-        )
+    @staticmethod
+    def _serial_results(tasks: List[SweepTask], ctx: RunContext):
+        """Run tasks inline; yields ``(record, cache delta)`` per task."""
+        store = ctx.store
+        for t in tasks:
+            before = store.stats.snapshot() if store is not None else None
+            record = _execute_task(t)
+            yield record, store.stats.diff(before) if store is not None else None
+
+    def _pool_results(self, tasks: List[SweepTask], ctx: RunContext):
+        """Fan tasks out to the pool; yields ``(record, cache delta)``.
+
+        Results are consumed in submission order, and each task's
+        context snapshot merges into ``ctx`` before its record is
+        yielded: the merge (and every progress event the parent emits)
+        happens at a deterministic point in the stream even though
+        worker scheduling is not.
+        """
+        observe = ctx.observers()
         specs: List[SoCSpec] = []
         spec_index: Dict[int, int] = {}
         descriptors: List[_TaskDescriptor] = []
@@ -600,60 +574,30 @@ class ExplorationEngine:
                     library_diff=lib_diff or None,
                     library_full=lib_full,
                     select=None if t.select is self.select else t.select,
-                    collect_obs=collect,
+                    observe=observe,
                 )
             )
         pool = self._ensure_pool(specs)
-        targets = (parent_rec, parent_tracer, parent_bus, parent_store)
         futures = [pool.submit(_execute_descriptor, d) for d in descriptors]
         self._inflight = [
             {"future": f, "label": "task%d" % i, "merged": False}
             for i, f in enumerate(futures)
         ]
-        self._obs_targets = targets
-        if parent_bus is not None:
-            parent_bus.emit(
-                "progress",
-                "sweep.start",
-                attrs={"tasks": len(tasks), "workers": self.workers},
-            )
-        records: List[SweepRecord] = []
+        self._inflight_ctx = ctx
         try:
-            # Results are consumed in submission order: the merge (and
-            # every progress event the parent emits) happens at a
-            # deterministic point in the stream even though worker
-            # scheduling is not.
             for i, future in enumerate(futures):
                 record, payload = future.result()
                 self._inflight[i]["merged"] = True
-                self._merge_payload("task%d" % i, payload, targets)
-                records.append(record)
-                if parent_bus is not None:
-                    self._emit_task_progress(
-                        parent_bus,
-                        i,
-                        len(tasks),
-                        record,
-                        cache=payload.get("cache") if payload else None,
-                    )
+                ctx.merge(payload, "task%d" % i)
+                yield record, payload.get("cache") if payload else None
         except Exception:
             # A broken pool (worker crash, unpicklable payload) stays
             # broken; drop it so the next run starts clean.  close()
-            # flushes the obs payloads of tasks that did complete.
+            # merges the snapshots of tasks that did complete.
             self.close()
             raise
         self._inflight = []
-        self._obs_targets = None
-        if parent_bus is not None:
-            parent_bus.emit(
-                "progress",
-                "sweep.done",
-                attrs={
-                    "tasks": len(tasks),
-                    "feasible": sum(1 for r in records if r.feasible),
-                },
-            )
-        return records
+        self._inflight_ctx = None
 
     @staticmethod
     def _emit_task_progress(

@@ -83,7 +83,7 @@ from ..arch.topology import (
 )
 from ..exceptions import SynthesisError
 from ..obs.spans import span
-from ..perf.instrument import active_recorder
+from ..obs.context import current
 from ..power.library import NocLibrary
 from .frequency import IslandPlan, intermediate_island_freq_mhz
 from .spec import SoCSpec, TrafficFlow
@@ -642,7 +642,7 @@ class PathAllocator:
             # capacity- or port-constrained, so indirect switches can
             # not appear on any optimal path — this attempt would
             # reproduce the k=0 topology and prune every mid switch.
-            recorder = active_recorder()
+            recorder = current().perf
             if recorder is not None:
                 recorder.count("intermediate_attempts_skipped")
             return self._k0_result
@@ -1690,7 +1690,7 @@ class PathAllocator:
     # -- instrumentation -----------------------------------------------
 
     def _flush_counters(self) -> None:
-        recorder = active_recorder()
+        recorder = current().perf
         if recorder is not None:
             recorder.count("dijkstra_pops", self._pops)
             recorder.count("edge_evals", self._edge_evals)

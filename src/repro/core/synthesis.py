@@ -30,7 +30,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..arch.topology import INTERMEDIATE_ISLAND, Topology
 from ..arch.validate import validate_topology
-from ..cache.context import active_store
 from ..cache.keys import (
     allocation_base_key,
     allocation_context_key,
@@ -49,8 +48,8 @@ from ..exceptions import CacheKeyError, InfeasibleError, PartitionError, Synthes
 from ..floorplan.annealer import AnnealConfig, anneal_placement
 from ..floorplan.placer import Floorplan, FloorplanConfig, place
 from ..floorplan.wires import assign_wire_lengths
+from ..obs.context import current
 from ..obs.spans import span
-from ..perf.instrument import active_recorder, maybe_phase
 from ..power.library import DEFAULT_LIBRARY, NocLibrary
 from ..power.noc_power import compute_noc_power
 from ..power.soc_power import compute_soc_power
@@ -171,7 +170,7 @@ def _cached_synthesize(
     (the stored space carries the failures; :func:`synthesize` re-raises
     from it), so warm re-runs of infeasible corners stay cheap.
     """
-    store = active_store()
+    store = current().store
     if store is None or not cfg.enable_caches:
         return _synthesize_sweep(spec, library, cfg)
     try:
@@ -213,7 +212,7 @@ def _synthesize_sweep(
     # unmemoized computation.  The spec/library digests are hoisted out
     # of the candidate loop — they are the expensive canonicalizations
     # and are sweep-invariant.
-    store: Optional[CacheStore] = active_store() if cfg.enable_caches else None
+    store: Optional[CacheStore] = current().store if cfg.enable_caches else None
     alloc_ctx: Optional[str] = None
     vcg_digests: Dict[int, str] = {}
     if store is not None:
@@ -265,7 +264,7 @@ def _synthesize_sweep(
         seen_counts.add(counts_key)
 
         try:
-            with maybe_phase("partitioning"), span("partition", sweep_i=i):
+            with span("partition", sweep_i=i):
                 partitions = _partition_islands(
                     spec, vcgs, plans, counts, cfg, part_cache, vcg_digests
                 )
@@ -316,9 +315,7 @@ def _synthesize_sweep(
                         )
             alloc_from_cache = result is not None
             if result is None:
-                with maybe_phase("allocation"), span(
-                    "allocate", k_mid=k_mid
-                ) as alloc_span:
+                with span("allocate", k_mid=k_mid) as alloc_span:
                     result = allocator.allocate(num_intermediate=k_mid)
                     if alloc_span is not None:
                         alloc_span.set(success=result.success)
@@ -354,7 +351,7 @@ def _synthesize_sweep(
                     "allocation",
                     sig=allocation_signature(result),
                 )
-            with maybe_phase("evaluation"), span("evaluate", k_mid=k_mid):
+            with span("evaluate", k_mid=k_mid):
                 point = _evaluate_point(
                     result, plans, counts, k_mid, point_index, library, cfg,
                     place_cache,
@@ -366,7 +363,7 @@ def _synthesize_sweep(
                     # vector and already compares strictly greater, so
                     # the candidate can never beat the incumbent —
                     # skip the expensive remainder of its evaluation.
-                    recorder = active_recorder()
+                    recorder = current().perf
                     if recorder is not None:
                         recorder.count("sweep_pruned")
                     space.failures.append(
@@ -426,8 +423,9 @@ def _partition_islands(
     the same island VCG shares entries).  Objective-independent, so
     objective re-runs hit it even when the space tier misses.
     """
-    recorder = active_recorder()
-    store = active_store() if cfg.enable_caches else None
+    ctx = current()
+    recorder = ctx.perf
+    store = ctx.store if cfg.enable_caches else None
     partitions: Dict[int, List[Set[str]]] = {}
     for isl in sorted(counts):
         k = counts[isl]

@@ -1,12 +1,16 @@
 """Structured observability: spans, metrics, exporters, dashboard.
 
 The unified instrumentation layer over synthesis, the trace-replay
-runtime, and the reconfiguration control plane.  It subsumes the
-:mod:`repro.perf` counters (which stay as the zero-dependency hot-path
-accumulator; :meth:`MetricsRegistry.absorb_perf` lifts them into the
-registry) and adds what they cannot express: *where* time went
-(hierarchical spans, cross-process), *how values distribute*
-(histograms), and *how a run looked* (dashboard, Perfetto traces).
+runtime, and the reconfiguration control plane.  Every observer — the
+:mod:`repro.perf` recorder, the span tracer, the event bus — and the
+cache store sit in one run context (:mod:`repro.obs.context`) that
+instrumented code reads with one global read and that pool workers
+ship home as one snapshot.  The perf counters stay the zero-dependency
+hot-path accumulator (:meth:`MetricsRegistry.absorb_perf` lifts them
+into the registry); this package adds what they cannot express:
+*where* time went (hierarchical spans, cross-process), *how values
+distribute* (histograms), and *how a run looked* (dashboard, Perfetto
+traces).
 
 Determinism contract: span identity and ordering never touch the wall
 clock, every exporter orders its output canonically, and timing fields
@@ -52,8 +56,6 @@ from .metrics import (
 from .spans import (
     SpanRecord,
     SpanRecorder,
-    active_tracer,
-    set_tracer,
     span,
     stable_span_id,
     tracing,
@@ -65,7 +67,6 @@ from .stream import (
     JsonlSink,
     MemorySink,
     ObsEvent,
-    active_bus,
     canonical_events,
     emit,
     event_from_record,
@@ -73,7 +74,6 @@ from .stream import (
     event_record,
     follow_events,
     read_events,
-    set_bus,
     streaming,
 )
 
@@ -93,8 +93,6 @@ __all__ = [
     "ObsEvent",
     "SpanRecord",
     "SpanRecorder",
-    "active_bus",
-    "active_tracer",
     "cache_lines",
     "canonical_events",
     "chrome_trace_events",
@@ -118,8 +116,6 @@ __all__ = [
     "recovery_timeline_lines",
     "render_dashboard",
     "render_html",
-    "set_bus",
-    "set_tracer",
     "span",
     "span_log_lines",
     "stable_span_id",

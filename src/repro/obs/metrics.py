@@ -30,7 +30,8 @@ from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import SpecError
-from .stream import EventBus, active_bus as _active_bus
+from .context import current
+from .stream import EventBus
 
 #: Label sets are stored as sorted ``(key, value)`` tuples — hashable,
 #: order-free, deterministic to serialize.
@@ -304,13 +305,13 @@ def publish_metrics(
     The streaming analogue of :meth:`MetricsRegistry.snapshot`: one
     event per sample, in the registry's deterministic (name, label)
     order, so two identical runs publish byte-identical event
-    sequences.  Uses the active bus when ``bus`` is ``None``; a no-op
+    sequences.  Uses the run context's bus when ``bus`` is ``None``; a no-op
     returning 0 when streaming is off.  Values are deterministic
     except ``perf.phase_seconds``-style wall-clock counters, which
     callers exclude from byte-comparisons the same way they already do
     for span durations.
     """
-    target = bus if bus is not None else _active_bus()
+    target = bus if bus is not None else current().bus
     if target is None:
         return 0
     count = 0

@@ -1,11 +1,14 @@
 """Hierarchical span tracing with near-zero disabled overhead.
 
-The tracing analogue of :mod:`repro.perf.instrument`: a module-level
-active tracer that instrumented code consults through the free
-function :func:`span`.  When no tracer is installed (the default),
-``span(...)`` returns a shared null context manager — no allocation,
-no timer syscalls, no dict traffic — so the instrumentation can stay
-in hot-adjacent paths permanently.
+Instrumented code opens spans through the free function :func:`span`,
+which reads the run context (:mod:`repro.obs.context`).  When no
+observer is installed (the default), ``span(...)`` returns a shared
+null context manager — no allocation, no timer syscalls, no dict
+traffic — so the instrumentation can stay in hot-adjacent paths
+permanently.  A span opens when any observer slot is filled; when it
+finishes it goes to the tracer (a :class:`SpanRecord`), to the bus (a
+``span`` event) and, for the synthesis stages named in :data:`PHASES`,
+to the perf recorder's phase seconds — each only if that slot is set.
 
 Determinism is a design contract, not an accident:
 
@@ -45,10 +48,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .stream import active_bus as _active_bus
+from .context import RunContext, current, scope
 
-#: The installed tracer, or ``None`` (tracing disabled).
-_ACTIVE: Optional["SpanRecorder"] = None
+#: Synthesis stage spans and the perf phase each one's duration feeds.
+PHASES: Dict[str, str] = {
+    "partition": "partitioning",
+    "allocate": "allocation",
+    "evaluate": "evaluation",
+}
 
 
 @dataclass(frozen=True)
@@ -109,15 +116,19 @@ class _OpenSpan:
             found = ...
             if s is not None:
                 s.set(found=found is not None)
+
+    It reports to the observers of the context it opened under, and
+    takes its position from that context's span stream.
     """
 
     __slots__ = (
-        "_rec", "span_id", "parent_id", "name", "path",
+        "_ctx", "span_id", "parent_id", "name", "path",
         "seq", "depth", "attrs", "_start",
     )
 
-    def __init__(self, rec: "SpanRecorder", name: str, attrs: Dict[str, object]):
-        self._rec = rec
+    def __init__(self, ctx: RunContext, name: str, attrs: Dict[str, object]):
+        self._ctx = ctx
+        rec = ctx.spans
         self.name = name
         self.attrs = attrs
         parent = rec._stack[-1] if rec._stack else None
@@ -135,38 +146,40 @@ class _OpenSpan:
         return self
 
     def __enter__(self) -> "_OpenSpan":
-        self._rec._stack.append(self)
+        self._ctx.spans._stack.append(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         end = time.perf_counter()
-        rec = self._rec
+        ctx = self._ctx
+        rec = ctx.spans
         if rec._stack and rec._stack[-1] is self:
             rec._stack.pop()
-        rec.spans.append(
-            SpanRecord(
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                name=self.name,
-                path=self.path,
-                seq=self.seq,
-                depth=self.depth,
-                process=rec.process,
-                start_s=self._start - rec._t0,
-                duration_s=end - self._start,
-                attrs=self.attrs,
+        start_s = self._start - rec._t0
+        duration_s = end - self._start
+        if ctx.tracer is not None:
+            rec.spans.append(
+                SpanRecord(
+                    span_id=self.span_id,
+                    parent_id=self.parent_id,
+                    name=self.name,
+                    path=self.path,
+                    seq=self.seq,
+                    depth=self.depth,
+                    process=rec.process,
+                    start_s=start_s,
+                    duration_s=duration_s,
+                    attrs=self.attrs,
+                )
             )
-        )
-        # Streaming hook: a finished span becomes one event on the
-        # active bus.  Completion order is deterministic whenever the
-        # traced code is; the wall-clock fields ride in ``timing`` so
+        # Completion order is deterministic whenever the traced code
+        # is; the wall-clock fields ride in ``timing`` so
         # ``timing=False`` exports stay byte-comparable.  The process
         # label lives on the event envelope, not the payload — the
         # parent relabels merged worker streams there.
-        bus = _active_bus()
-        if bus is not None:
-            bus.emit(
+        if ctx.bus is not None:
+            ctx.bus.emit(
                 "span",
                 self.path,
                 attrs={
@@ -178,11 +191,12 @@ class _OpenSpan:
                     "depth": self.depth,
                     "attrs": dict(self.attrs),
                 },
-                timing={
-                    "start_s": self._start - rec._t0,
-                    "duration_s": end - self._start,
-                },
+                timing={"start_s": start_s, "duration_s": duration_s},
             )
+        if ctx.perf is not None:
+            phase = PHASES.get(self.name)
+            if phase is not None:
+                ctx.perf.add_phase(phase, duration_s)
         return False
 
 
@@ -207,8 +221,8 @@ class SpanRecorder:
     # -- recording -----------------------------------------------------
 
     def span(self, name: str, **attrs: object) -> _OpenSpan:
-        """Open a child span of whatever span is currently active."""
-        return _OpenSpan(self, name, dict(attrs))
+        """Open a child span recorded into this tracer only."""
+        return _OpenSpan(RunContext(tracer=self), name, dict(attrs))
 
     # -- views ---------------------------------------------------------
 
@@ -288,43 +302,22 @@ class SpanRecorder:
         return out
 
 
-# ----------------------------------------------------------------------
-# Module-level active tracer (the repro.perf.active_recorder pattern)
-# ----------------------------------------------------------------------
-
-
-def active_tracer() -> Optional[SpanRecorder]:
-    """The installed tracer, or ``None`` when tracing is off."""
-    return _ACTIVE
-
-
-def set_tracer(tracer: Optional[SpanRecorder]) -> Optional[SpanRecorder]:
-    """Install ``tracer`` globally; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    return previous
-
-
 @contextmanager
 def tracing(tracer: Optional[SpanRecorder] = None) -> Iterator[SpanRecorder]:
-    """Install a tracer for a ``with`` block (nests safely)."""
+    """Fill the context's ``tracer`` slot for a ``with`` block (nests)."""
     t = tracer if tracer is not None else SpanRecorder()
-    previous = set_tracer(t)
-    try:
+    with scope(tracer=t):
         yield t
-    finally:
-        set_tracer(previous)
 
 
 def span(name: str, **attrs: object):
-    """Open a span on the active tracer; a shared no-op when disabled.
+    """Open a span under the run context; a shared no-op when unobserved.
 
     The disabled path does one global read and returns a singleton —
     cheap enough to leave in per-candidate (not per-edge) code
-    permanently, mirroring :func:`repro.perf.instrument.maybe_phase`.
+    permanently.
     """
-    tracer = _ACTIVE
-    if tracer is None:
+    ctx = current()
+    if not ctx.observed:
         return _NULL_SPAN
-    return tracer.span(name, **attrs)
+    return _OpenSpan(ctx, name, attrs)

@@ -32,9 +32,10 @@ event regardless of ring evictions:
   per line so another process can tail it (``repro-noc obs --follow``);
   byte-deterministic under ``timing=False``.
 
-Like the tracer and the perf recorder, a module-level active bus is
-consulted through free functions (:func:`active_bus`, :func:`emit`)
-so instrumented code pays one global read when streaming is off::
+The bus is the ``bus`` slot of the run context
+(:mod:`repro.obs.context`); instrumented code reaches it through the
+free function :func:`emit` and pays one global read when streaming is
+off::
 
     from repro.obs import EventBus, MemorySink, streaming
 
@@ -67,6 +68,7 @@ from typing import (
 )
 
 from ..exceptions import SpecError
+from .context import current, scope
 
 #: Event kinds the standard emit hooks produce.  The bus accepts any
 #: kind string; this tuple documents (and tests pin) the built-ins.
@@ -77,9 +79,6 @@ EVENT_KINDS: Tuple[str, ...] = (
     "progress",    # sweep/task progress (core/explore.py)
     "heartbeat",   # liveness beacon from a process (pool workers)
 )
-
-#: The installed bus, or ``None`` (streaming disabled).
-_ACTIVE: Optional["EventBus"] = None
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,6 @@ class EventBus:
         #: are unaffected; this counts bounded-history loss only.
         self.dropped = 0
         self.dropped_by_kind: Dict[str, int] = {}
-        self._dropped_shipped = 0
         #: Events accepted (emitted + ingested), for progress feeds.
         self.emitted = 0
         #: pid metadata per process label (bookkeeping, never identity).
@@ -388,35 +386,6 @@ class EventBus:
             "events": [event_record(e, timing=timing) for e in self._ring],
         }
 
-    def drain(self) -> List[ObsEvent]:
-        """Remove and return the ring's contents (drop counters stay).
-
-        The worker-side shipping primitive: a pool worker drains its
-        bus after every task so each result carries exactly that
-        task's events and nothing ships twice.
-        """
-        out = list(self._ring)
-        self._ring.clear()
-        return out
-
-    def drain_snapshot(self, timing: bool = True) -> Dict[str, object]:
-        """:meth:`snapshot` of the ring, then clear it (ship-once).
-
-        The shipped ``dropped`` field is the *delta* since the last
-        drain, so a parent ingesting one batch per task never counts a
-        worker's loss twice.
-        """
-        snap = {
-            "process": self.process,
-            "pid": os.getpid(),
-            "next_seq": self._seq,
-            "dropped": self.dropped - self._dropped_shipped,
-            "events": [event_record(e, timing=timing) for e in self._ring],
-        }
-        self._dropped_shipped = self.dropped
-        self._ring.clear()
-        return snap
-
     def close(self) -> None:
         """Close every sink (idempotent)."""
         for sink in self.sinks:
@@ -425,33 +394,15 @@ class EventBus:
                 close()
 
 
-# ----------------------------------------------------------------------
-# Module-level active bus (the active_recorder / active_tracer pattern)
-# ----------------------------------------------------------------------
-
-
-def active_bus() -> Optional[EventBus]:
-    """The installed bus, or ``None`` when streaming is off."""
-    return _ACTIVE
-
-
-def set_bus(bus: Optional[EventBus]) -> Optional[EventBus]:
-    """Install ``bus`` globally; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = bus
-    return previous
-
-
 @contextmanager
 def streaming(bus: Optional[EventBus] = None) -> Iterator[EventBus]:
-    """Install a bus for a ``with`` block (nests safely)."""
+    """Fill the context's ``bus`` slot for a ``with`` block (nests);
+    the bus's sinks are closed on exit."""
     b = bus if bus is not None else EventBus()
-    previous = set_bus(b)
     try:
-        yield b
+        with scope(bus=b):
+            yield b
     finally:
-        set_bus(previous)
         b.close()
 
 
@@ -461,12 +412,12 @@ def emit(
     attrs: Optional[Mapping[str, object]] = None,
     timing: Optional[Mapping[str, float]] = None,
 ) -> Optional[ObsEvent]:
-    """Emit on the active bus; a no-op returning ``None`` when off.
+    """Emit on the context's bus; a no-op returning ``None`` when off.
 
     The disabled path is one global read — cheap enough for the same
     hot-adjacent placement rules as :func:`repro.obs.spans.span`.
     """
-    bus = _ACTIVE
+    bus = current().bus
     if bus is None:
         return None
     return bus.emit(kind, name, attrs=attrs, timing=timing)

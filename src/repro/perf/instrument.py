@@ -1,4 +1,4 @@
-"""Lightweight synthesis instrumentation: counters and phase timers.
+"""Lightweight synthesis instrumentation: counters and phase seconds.
 
 The synthesis hot path (Dijkstra pops, edge-cost evaluations, link
 opens, cache hits) is far too hot for per-event callbacks, so the
@@ -6,10 +6,13 @@ design is pull-based and nearly free when disabled:
 
 * hot loops accumulate plain local integers and flush them *once* per
   allocation attempt via :meth:`PerfRecorder.count`;
-* coarse stages wrap themselves in :meth:`PerfRecorder.phase` timers;
-* when no recorder is installed (the default), the module-level
-  :func:`active_recorder` returns ``None`` and instrumented code skips
-  the flush entirely — zero dict traffic, zero timer syscalls.
+* the synthesis stages are spans (``partition``, ``allocate``,
+  ``evaluate``); a finished one adds its duration to the recorder's
+  phase seconds (see :data:`repro.obs.spans.PHASES`);
+* the recorder is the ``perf`` slot of the run context
+  (:mod:`repro.obs.context`); when it is empty (the default),
+  instrumented code skips the flush entirely — zero dict traffic, zero
+  timer syscalls.
 
 Usage::
 
@@ -23,12 +26,10 @@ Usage::
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-#: The installed recorder, or ``None`` (instrumentation disabled).
-_ACTIVE: Optional["PerfRecorder"] = None
+from ..obs.context import scope
 
 
 class PerfRecorder:
@@ -43,26 +44,13 @@ class PerfRecorder:
         self.counters: Dict[str, int] = {}
         self.phase_seconds: Dict[str, float] = {}
 
-    # -- counters ------------------------------------------------------
-
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to counter ``name`` (created on first use)."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    # -- phase timers --------------------------------------------------
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block and add it to phase ``name``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + time.perf_counter() - t0
-            )
-
-    # -- reporting -----------------------------------------------------
+    def add_phase(self, name: str, seconds: float) -> None:
+        """Add ``seconds`` to phase ``name`` (a finished stage span)."""
+        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict view (JSON-ready) of everything recorded."""
@@ -82,27 +70,12 @@ class PerfRecorder:
         for name, value in snapshot.get("counters", {}).items():  # type: ignore[union-attr]
             self.count(name, int(value))
         for name, seconds in snapshot.get("phase_seconds", {}).items():  # type: ignore[union-attr]
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + float(seconds)
-            )
+            self.add_phase(name, float(seconds))
 
     def reset(self) -> None:
         """Clear all counters and timers."""
         self.counters.clear()
         self.phase_seconds.clear()
-
-
-def active_recorder() -> Optional[PerfRecorder]:
-    """The installed recorder, or ``None`` when instrumentation is off."""
-    return _ACTIVE
-
-
-def set_recorder(recorder: Optional[PerfRecorder]) -> Optional[PerfRecorder]:
-    """Install ``recorder`` globally; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    return previous
 
 
 @contextmanager
@@ -113,19 +86,5 @@ def recording(recorder: Optional[PerfRecorder] = None) -> Iterator[PerfRecorder]
     the previously installed recorder on exit, so scopes nest safely.
     """
     rec = recorder if recorder is not None else PerfRecorder()
-    previous = set_recorder(rec)
-    try:
+    with scope(perf=rec):
         yield rec
-    finally:
-        set_recorder(previous)
-
-
-@contextmanager
-def maybe_phase(name: str) -> Iterator[None]:
-    """Phase-time a block against the active recorder, if any."""
-    rec = _ACTIVE
-    if rec is None:
-        yield
-    else:
-        with rec.phase(name):
-            yield

@@ -49,7 +49,7 @@ from ..core.paths import PathAllocator, PathCostConfig, _OPEN
 from ..exceptions import SynthesisError
 from ..floorplan.placer import Floorplan, FloorplanConfig, place
 from ..floorplan.wires import WireReport, assign_wire_lengths
-from ..perf.instrument import active_recorder
+from ..obs.context import current
 from ..power.noc_power import NocPower, compute_noc_power
 from ..power.soc_power import SocPower, compute_soc_power
 from ..sim.zero_load import LatencyReport, evaluate_latency, route_latency_cycles
@@ -279,7 +279,7 @@ def allocate_spare_paths(
                     % (key[0], key[1], len(flow_routes), cfg.k)
                 )
 
-    recorder = active_recorder()
+    recorder = current().perf
     if recorder is not None:
         recorder.count("spare_links_opened", len(opened))
         recorder.count("spare_backups", sum(len(b) for b in backups.values()))

@@ -17,6 +17,8 @@ from repro import (
     build_spec,
     synthesize,
 )
+from repro.core import explore
+from repro.core.design_point import DesignSpace
 from repro.perf import recording
 from repro.power.library import DEFAULT_LIBRARY
 
@@ -102,3 +104,22 @@ def assert_fast_matches_reference(spec, library=DEFAULT_LIBRARY, **cfg):
         counters.append(rec.counters)
     assert space_signature(spaces[0]) == space_signature(spaces[1])
     return counters
+
+
+def worker_payload(spec, config, observe):
+    """Run one sweep task through the pool worker entry, in-process.
+
+    Initializes this process the way the pool initializes a worker (no
+    store), runs a descriptor naming the observer slots ``observe``,
+    and returns ``(record, payload)`` as the worker would ship them.
+    Leaves this process with an empty run context, so call it outside
+    any observer scope.
+    """
+    explore._pool_init((spec,), DEFAULT_LIBRARY, config, DesignSpace.best_by_power)
+    try:
+        return explore._execute_descriptor(
+            explore._TaskDescriptor(spec_index=0, knobs={}, observe=tuple(observe))
+        )
+    finally:
+        explore._WORKER_CONTEXT = None
+

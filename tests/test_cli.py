@@ -1,8 +1,10 @@
 """Command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -129,6 +131,42 @@ class TestCommands:
         with open(csv) as f:
             header = f.readline()
         assert "noc_power_mw" in header
+
+    @pytest.mark.stream
+    def test_sweep_feed_independent_of_workers(self, capsys, tmp_path):
+        # Spans reach the bus without a tracer, so a serial sweep
+        # streams the span events a pool sweep merges from its workers.
+        feeds = {}
+        for workers in (1, 2):
+            path = str(tmp_path / ("w%d.jsonl" % workers))
+            code = main(
+                ["sweep", "d26_media", "--counts", "1,2", "--workers",
+                 str(workers), "--events", path, "--no-timing"]
+            )
+            assert code == 0
+            with open(path) as fh:
+                feeds[workers] = [json.loads(line) for line in fh]
+        capsys.readouterr()
+
+        def span_names(feed):
+            return Counter(e["name"] for e in feed if e["type"] == "span")
+
+        def progress(feed):
+            out = []
+            for e in feed:
+                if e["type"] == "progress":
+                    attrs = dict(e["attrs"])
+                    if e["name"] == "sweep.start":
+                        attrs.pop("workers")  # reports the pool width
+                    out.append((e["name"], attrs))
+            return out
+
+        assert span_names(feeds[1])
+        assert span_names(feeds[1]) == span_names(feeds[2])
+        assert progress(feeds[1]) == progress(feeds[2])
+        # Heartbeats stay pool-only liveness beacons.
+        assert {e["type"] for e in feeds[1]} == {"span", "progress"}
+        assert "heartbeat" in {e["type"] for e in feeds[2]}
 
     def test_synth_objective_latency(self, capsys):
         code = main(

@@ -23,7 +23,6 @@ from repro.exceptions import SpecError
 from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
-    active_tracer,
     chrome_trace_events,
     chrome_trace_json,
     counter_lines,
@@ -42,11 +41,14 @@ from repro.obs import (
     tracing,
     write_lines,
 )
+from repro.obs.context import current
 from repro.obs.spans import _NULL_SPAN
 from repro.perf import PerfRecorder, recording
 from repro.resilience import FaultEvent, enumerate_scenarios, route_affected
 from repro.runtime import make_policy, markov_trace, simulate_trace
 from repro.soc.usecases import use_cases_for
+
+from _helpers import worker_payload
 
 pytestmark = pytest.mark.obs
 
@@ -96,7 +98,7 @@ class TestSpans:
         assert stable_span_id("a", 0) != stable_span_id("b", 0)
 
     def test_disabled_span_is_shared_null(self):
-        assert active_tracer() is None
+        assert current().tracer is None
         s = span("anything", k=1)
         assert s is _NULL_SPAN
         assert s is span("something_else")
@@ -133,10 +135,10 @@ class TestSpans:
         with tracing() as outer:
             with pytest.raises(RuntimeError):
                 with tracing() as inner:
-                    assert active_tracer() is inner
+                    assert current().tracer is inner
                     raise RuntimeError("boom")
-            assert active_tracer() is outer
-        assert active_tracer() is None
+            assert current().tracer is outer
+        assert current().tracer is None
 
     def test_merge_relabels_and_tracks_pid(self):
         worker = SpanRecorder()
@@ -369,9 +371,10 @@ class TestParallelMerge:
 
     def test_parallel_records_match_serial(self, tiny_spec):
         alphas = [0.2, 0.6]
-        with ExplorationEngine(workers=1, config=FAST) as engine:
-            serial = engine.alpha_exploration(tiny_spec, alphas)
-        with recording(PerfRecorder()), tracing():
+        with recording(PerfRecorder()) as serial_rec:
+            with ExplorationEngine(workers=1, config=FAST) as engine:
+                serial = engine.alpha_exploration(tiny_spec, alphas)
+        with recording(PerfRecorder()) as parallel_rec, tracing():
             with ExplorationEngine(workers=2, config=FAST) as engine:
                 parallel = engine.alpha_exploration(tiny_spec, alphas)
         def rows(records):
@@ -383,13 +386,23 @@ class TestParallelMerge:
 
         assert [r.feasible for r in serial] == [r.feasible for r in parallel]
         assert rows(serial) == rows(parallel)
+        # Worker counters and phases merge into the parent's recorder
+        # exactly as if the tasks had run inline.
+        assert serial_rec.counters["edge_evals"] > 0
+        assert serial_rec.counters == parallel_rec.counters
+        assert set(serial_rec.phase_seconds) == set(parallel_rec.phase_seconds)
 
     def test_sweep_without_observers_ships_no_payload(self, tiny_spec):
-        # With no recorder/tracer installed the workers must not pay
-        # for snapshotting (collect_obs stays False end to end).
+        # With nothing in the parent's run context the descriptor names
+        # no observer slots, and the worker entry ships no payload.
         with ExplorationEngine(workers=2, config=FAST) as engine:
             records = engine.alpha_exploration(tiny_spec, [0.2, 0.8])
         assert len(records) == 2
+        observe = current().observers()
+        assert observe == ()
+        record, payload = worker_payload(tiny_spec, FAST, observe)
+        assert record.feasible
+        assert payload is None
 
 
 # ----------------------------------------------------------------------

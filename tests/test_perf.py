@@ -20,7 +20,9 @@ import pytest
 from repro import SynthesisConfig, synthesize
 from repro.arch.topology import Topology
 from repro.core.paths import EdgeCostCache, PathAllocator, PathCostConfig
-from repro.perf import PerfRecorder, active_recorder, recording
+from repro.obs import span
+from repro.obs.context import current
+from repro.perf import PerfRecorder, recording
 from repro.power.library import DEFAULT_LIBRARY
 
 from _helpers import (
@@ -38,29 +40,28 @@ class TestPerfRecorder:
         assert rec.counters == {"pops": 42}
 
     def test_phase_timers_accumulate(self):
-        rec = PerfRecorder()
-        with rec.phase("alloc"):
-            pass
-        with rec.phase("alloc"):
-            pass
-        assert rec.phase_seconds["alloc"] >= 0.0
+        with recording() as rec:
+            with span("allocate"):
+                pass
+            with span("allocate"):
+                pass
+        assert rec.phase_seconds["allocation"] >= 0.0
         snap = rec.snapshot()
         assert set(snap) == {"counters", "phase_seconds"}
 
     def test_recording_installs_and_restores(self):
-        assert active_recorder() is None
+        assert current().perf is None
         with recording() as outer:
-            assert active_recorder() is outer
+            assert current().perf is outer
             with recording() as inner:
-                assert active_recorder() is inner
-            assert active_recorder() is outer
-        assert active_recorder() is None
+                assert current().perf is inner
+            assert current().perf is outer
+        assert current().perf is None
 
     def test_reset(self):
         rec = PerfRecorder()
         rec.count("x")
-        with rec.phase("p"):
-            pass
+        rec.add_phase("p", 1.0)
         rec.reset()
         assert rec.counters == {} and rec.phase_seconds == {}
 

@@ -1,12 +1,13 @@
 """Edge cases of the perf instrumentation layer (repro.perf.instrument).
 
-The recorder is module-global state consulted from hot paths, so the
-corners matter: nested/repeated phases must accumulate (not overwrite),
-``recording()`` must restore the previously installed recorder even
-when the block raises, counter flushes with no active recorder must be
-true no-ops (the hot path is traversed unrecorded far more often than
-recorded), and ``merge_snapshot`` must sum — it is how parallel
-exploration workers ship their share of the run home.
+The recorder is the ``perf`` slot of the run context, consulted from
+hot paths, so the corners matter: nested/repeated stage spans must
+accumulate phase seconds (not overwrite), ``recording()`` must restore
+the previously installed recorder even when the block raises, counter
+flushes with no recorder installed must be true no-ops (the hot path is
+traversed unrecorded far more often than recorded), and
+``merge_snapshot`` must sum — it is how parallel exploration workers
+ship their share of the run home.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ import time
 import pytest
 
 from repro import SynthesisConfig, synthesize
-from repro.perf import (
-    PerfRecorder,
-    active_recorder,
-    maybe_phase,
-    recording,
-    set_recorder,
-)
+from repro.obs import span
+from repro.obs.context import current
+from repro.obs.spans import _NULL_SPAN
+from repro.perf import PerfRecorder, recording
 
 pytestmark = pytest.mark.obs
 
@@ -31,67 +29,72 @@ FAST = SynthesisConfig(max_intermediate=1)
 
 class TestPhases:
     def test_repeated_phase_accumulates(self):
-        rec = PerfRecorder()
-        with rec.phase("alloc"):
-            time.sleep(0.001)
-        first = rec.phase_seconds["alloc"]
-        with rec.phase("alloc"):
-            time.sleep(0.001)
-        assert rec.phase_seconds["alloc"] > first
+        with recording() as rec:
+            with span("allocate"):
+                time.sleep(0.001)
+            first = rec.phase_seconds["allocation"]
+            with span("allocate"):
+                time.sleep(0.001)
+        assert rec.phase_seconds["allocation"] > first
 
     def test_nested_same_name_phases_accumulate_both_intervals(self):
-        # A phase re-entered while already open adds *both* intervals
-        # to the same key (cumulative semantics): the total can exceed
-        # the wall-clock of the outer block alone.
-        rec = PerfRecorder()
-        t0 = time.perf_counter()
-        with rec.phase("stage"):
-            with rec.phase("stage"):
-                time.sleep(0.002)
-        outer = time.perf_counter() - t0
-        assert list(rec.phase_seconds) == ["stage"]
-        assert rec.phase_seconds["stage"] >= outer
-        assert rec.phase_seconds["stage"] >= 2 * 0.002
+        # A stage span re-entered while already open adds *both*
+        # intervals to the same phase (cumulative semantics): the total
+        # can exceed the wall-clock of the outer span alone.
+        with recording() as rec:
+            t0 = time.perf_counter()
+            with span("evaluate"):
+                with span("evaluate"):
+                    time.sleep(0.002)
+            outer = time.perf_counter() - t0
+        assert list(rec.phase_seconds) == ["evaluation"]
+        assert rec.phase_seconds["evaluation"] >= outer
+        assert rec.phase_seconds["evaluation"] >= 2 * 0.002
 
     def test_phase_records_on_exception(self):
-        rec = PerfRecorder()
-        with pytest.raises(RuntimeError):
-            with rec.phase("doomed"):
-                raise RuntimeError("boom")
-        assert rec.phase_seconds["doomed"] >= 0.0
+        with recording() as rec:
+            with pytest.raises(RuntimeError):
+                with span("partition"):
+                    raise RuntimeError("boom")
+        assert rec.phase_seconds["partitioning"] >= 0.0
 
-    def test_maybe_phase_without_recorder_is_noop(self):
-        assert active_recorder() is None
-        with maybe_phase("nothing"):
-            pass
-        assert active_recorder() is None
+    def test_only_stage_spans_feed_phases(self):
+        with recording() as rec:
+            with span("synthesis"):
+                with span("allocate"):
+                    pass
+        assert list(rec.phase_seconds) == ["allocation"]
+
+    def test_span_without_observers_is_noop(self):
+        assert current().perf is None and not current().observed
+        with span("partition") as opened:
+            assert opened is None
+        assert span("partition") is _NULL_SPAN
+        assert current().perf is None
 
 
 class TestRecordingScope:
     def test_recording_restores_previous_recorder_on_exception(self):
-        outer = PerfRecorder()
-        previous = set_recorder(outer)
-        try:
+        with recording(PerfRecorder()) as outer:
             with pytest.raises(RuntimeError):
                 with recording(PerfRecorder()) as inner:
-                    assert active_recorder() is inner
+                    assert current().perf is inner
                     assert inner is not outer
                     raise RuntimeError("boom")
-            assert active_recorder() is outer
-        finally:
-            set_recorder(previous)
+            assert current().perf is outer
+        assert current().perf is None
 
     def test_recording_yields_fresh_recorder_and_uninstalls(self):
-        assert active_recorder() is None
+        assert current().perf is None
         with recording() as rec:
-            assert active_recorder() is rec
-        assert active_recorder() is None
+            assert current().perf is rec
+        assert current().perf is None
 
     def test_nested_recording_scopes(self):
         with recording() as outer:
             with recording() as inner:
-                assert active_recorder() is inner
-            assert active_recorder() is outer
+                assert current().perf is inner
+            assert current().perf is outer
 
 
 class TestCounterFlush:
@@ -100,7 +103,7 @@ class TestCounterFlush:
         # no recorder installed the flush must vanish without leaving
         # pending state behind.  Identical recorded runs bracketing an
         # unrecorded one must therefore count identically.
-        assert active_recorder() is None
+        assert current().perf is None
         with recording(PerfRecorder()) as before:
             synthesize(tiny_spec, config=FAST)
         synthesize(tiny_spec, config=FAST)  # unrecorded: None path

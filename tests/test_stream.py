@@ -34,7 +34,6 @@ from repro.obs import (
     MetricsRegistry,
     ObsEvent,
     SpanRecorder,
-    active_bus,
     cache_lines,
     canonical_events,
     emit,
@@ -52,10 +51,14 @@ from repro.obs import (
     streaming,
     tracing,
 )
+from repro.obs.context import current
 from repro.obs.live import follow_render
+from repro.perf import recording
 from repro.resilience import FaultEvent, enumerate_scenarios, route_affected
 from repro.runtime import make_policy, markov_trace, simulate_trace
 from repro.soc.usecases import use_cases_for
+
+from _helpers import worker_payload
 
 pytestmark = [pytest.mark.obs, pytest.mark.stream]
 
@@ -120,26 +123,22 @@ class TestEventBus:
         assert seen == ["ok", "ok2"]
         assert bus.sinks[0].errors == 1
 
-    def test_free_emit_requires_active_bus(self):
-        assert active_bus() is None
+    def test_free_emit_requires_a_bus(self):
+        assert current().bus is None
         assert emit("span", "nobody-listening") is None
         with streaming() as bus:
-            assert active_bus() is bus
+            assert current().bus is bus
             event = emit("progress", "x", attrs={"i": 1})
             assert event is not None and event.seq == 0
-        assert active_bus() is None
+        assert current().bus is None
 
-    def test_drain_snapshot_ships_drop_delta_once(self):
+    def test_ingest_surfaces_worker_ring_loss(self):
         worker = EventBus(process="worker", max_events=2)
         for i in range(5):
             worker.emit("span", "e%d" % i)
         parent = EventBus()
-        parent.ingest(worker.drain_snapshot(), process="task0")
+        parent.ingest(worker.snapshot(), process="task0")
         assert parent.dropped == 3  # worker lost e0..e2
-        # Second drain with no new loss must not re-ship the count.
-        worker.emit("span", "late")
-        parent.ingest(worker.drain_snapshot(), process="task0")
-        assert parent.dropped == 3
         assert parent.dropped_by_kind == {"ingested": 3}
 
     def test_ingest_relabels_and_keeps_seqs(self):
@@ -468,9 +467,33 @@ class TestSweepStreaming:
         assert engine._inflight == []  # flush state fully consumed
 
     def test_no_bus_means_no_worker_event_payloads(self, tiny_spec):
+        # Recorder and tracer but no bus: the worker runs under exactly
+        # those two slots and ships no events (not even heartbeats).
+        with recording(), tracing():
+            observe = current().observers()
+            with ExplorationEngine(workers=2, config=FAST) as engine:
+                records = engine.alpha_exploration(tiny_spec, [0.2, 0.8])
+        assert len(records) == 2
+        assert observe == ("perf", "tracer")
+        _, payload = worker_payload(tiny_spec, FAST, observe)
+        assert set(payload) == {"perf", "spans"}
+
+    def test_unobserved_sweep_leaves_closed_feed_alone(self, tiny_spec, tmp_path):
+        # Regression: forked workers inherited the tracer and bus the
+        # parent had installed when the pool started, so a later sweep
+        # with no observers on the same pool kept appending to the
+        # first sweep's closed JSONL feed.
+        path = str(tmp_path / "feed.jsonl")
+        alphas = [0.2, 0.4, 0.6, 0.8]
         with ExplorationEngine(workers=2, config=FAST) as engine:
-            records = engine.alpha_exploration(tiny_spec, [0.2, 0.8])
-        assert len(records) == 2  # no observers: nothing to ship or merge
+            with tracing(), streaming(EventBus(sinks=[JsonlSink(path, timing=False)])):
+                engine.alpha_exploration(tiny_spec, alphas)
+            with open(path) as fh:
+                lines = len(fh.readlines())
+            engine.alpha_exploration(tiny_spec, alphas)
+        assert lines > 0
+        with open(path) as fh:
+            assert len(fh.readlines()) == lines
 
 
 def _boom_select(space):
