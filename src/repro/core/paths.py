@@ -27,20 +27,20 @@ and reports success or the first unroutable flow.
 Fast path
 ---------
 The synthesis sweep calls the allocator hundreds of times, so the hot
-loop is engineered around six observations:
+loop is engineered around seven observations:
 
 1. the candidate switch set and the shutdown-safety transition rule
-   depend only on the ``(src_island, dst_island)`` pair of a flow —
+   depend only on the ``(src_island, dst_island)`` pair of a flow, and
+   a switch's successor row only on its island —
    :class:`PathAllocator` keeps one lazily-built, integer-indexed
-   successor structure per pair (shared across routing attempts)
-   instead of re-testing every switch pair on every Dijkstra pop;
+   successor structure per pair with one row per island (shared across
+   routing attempts) instead of re-testing every switch pair on every
+   Dijkstra pop;
 2. the power terms of an edge cost are pure functions of a handful of
    switch attributes — the static open cost of ``(u.island, v.island,
    u fresh?, v fresh?)`` and the traffic energy-per-bit of
    ``(crossing?, v.n_in, v.n_out)`` — so the inner loop resolves each
-   with one int-keyed dict probe; :class:`EdgeCostCache` is the
-   object-level view of the same memos with explicit link-open
-   invalidation;
+   with one int-keyed dict probe;
 3. every intermediate-count and port-reserve retry routes the same
    switch/NI scaffold — the scaffold is built once and cheaply cloned
    per attempt (:meth:`repro.arch.topology.Topology.clone_scaffold`);
@@ -55,19 +55,27 @@ loop is engineered around six observations:
    than any two cheapest-possible edges, no multi-hop alternative can
    beat it and the search is answered in O(1) (the **direct-open
    dominance shortcut**; see :meth:`PathAllocator._direct_open_shortcut`
-   for the proof obligations).
+   for the proof obligations);
+7. by (2), a switch's open edges depend on it only through its class
+   ``(island, fresh?)``, and Dijkstra pops in non-decreasing distance —
+   so once one switch of a class with a free output port has offered
+   every successor its open cost, a later switch of that class cannot
+   beat those offers and scans only its reusable links (the **class
+   rule**; see :meth:`PathAllocator._search`).
 
 Cached and uncached (``use_cache=False``) runs share one cost
 implementation, so they produce byte-identical allocations, routes and
 objective costs; the cache only changes how often the arithmetic
-re-runs.  The reference mode also turns off both skips (5 and 6): every
-flow that a direct reuse (4) does not answer goes through the full
-Dijkstra search, which makes it the parity oracle for the skips.
+re-runs.  The reference mode also turns off the skips (5, 6 and 7) and
+the per-island rows: every flow that a direct reuse (4) does not answer
+goes through the full, unpruned Dijkstra search, which makes it the
+parity oracle for the skips.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -215,6 +223,28 @@ def _allowed_transition(
     return False
 
 
+def _first_fit(
+    links: Iterable[Link],
+    bw: float,
+    forbidden_links: Optional[Set[int]],
+    reserved: Optional[Mapping[int, float]],
+) -> Optional[Link]:
+    """The first of ``links`` (in link-id order) a flow of ``bw`` may reuse.
+
+    ``forbidden_links`` and ``reserved`` are the backup-route
+    constraints of :meth:`PathAllocator._search` (``None`` when off).
+    """
+    for link in links:
+        if forbidden_links is not None and link.id in forbidden_links:
+            continue
+        avail = link.capacity_mbps - link._used_mbps
+        if reserved is not None:
+            avail -= reserved.get(link.id, 0.0)
+        if avail + 1e-9 >= bw:
+            return link
+    return None
+
+
 def _edge_static_open_cost(
     topo: Topology, u: Switch, v: Switch, cfg: PathCostConfig
 ) -> float:
@@ -254,179 +284,6 @@ def _edge_traffic_ebit(
     if crossing:
         ebit += lib.fifo_ebit_pj
     return ebit
-
-
-def _edge_traffic_cost(
-    topo: Topology, flow: TrafficFlow, u: Switch, v: Switch, cfg: PathCostConfig
-) -> float:
-    """Dynamic power (mW) the flow adds on link u->v plus switch v."""
-    return units.traffic_power_mw(
-        flow.bandwidth_mbps, _edge_traffic_ebit(topo, u, v, cfg)
-    )
-
-
-class EdgeCostCache:
-    """Memoized per-switch-pair cost terms with link-open invalidation.
-
-    Two terms of the edge cost are cached per directed switch pair:
-
-    * the **static open cost** — depends on the pair's islands and
-      frequencies (static) and on whether either endpoint is still
-      unconnected (its clock-tree/leakage floor is charged on first
-      use, the ``n_in/n_out`` degeneracy);
-    * the **traffic energy per bit** — depends on the pair's islands
-      and on the downstream switch's port counts.
-
-    Both inputs change only when a link opens, so
-    :meth:`invalidate_switch` must be called for both endpoints of
-    every newly opened link (attaching cores also changes port counts,
-    but all NIs are attached before routing starts).  Invalidation is a
-    per-switch version bump: a pair entry is valid only while both
-    endpoints still carry the version it was stored under, which makes
-    invalidating a switch O(1) instead of a scan over its pairs.
-
-    Underneath the pair entries sits a second, parameter-keyed level
-    shared across routing attempts: the cost terms are pure functions
-    of a handful of switch attributes, so a pair miss usually resolves
-    to a dict hit instead of re-running the power-model arithmetic.
-
-    Internally everything is integer-indexed: switches map to their
-    position in the topology's insertion order, versions live in a flat
-    list, and a directed pair keys as ``u_idx * n + v_idx``.  The
-    router's inner loop does not go through this class — it uses the
-    allocator's int-keyed pure-function memos directly (same value
-    functions, different keying); this class is the object-level view
-    for tests and non-hot callers.  The router's keying is guarded by
-    the cached-vs-uncached determinism tests, which bypass every memo
-    in reference mode.
-
-    Capacity checks are *not* cached — residual bandwidth changes on
-    every routed flow and is already O(1) to read.
-    """
-
-    __slots__ = (
-        "_topo",
-        "_cfg",
-        "_sw_list",
-        "_idx_map",
-        "_n",
-        "_static",
-        "_ebit",
-        "_versions",
-        "_static_by_param",
-        "_ebit_by_param",
-        "hits",
-        "misses",
-    )
-
-    def __init__(
-        self,
-        topo: Topology,
-        cfg: PathCostConfig,
-        static_by_param: Optional[Dict[tuple, float]] = None,
-        ebit_by_param: Optional[Dict[tuple, float]] = None,
-        sw_list: Optional[List[Switch]] = None,
-    ) -> None:
-        self._topo = topo
-        self._cfg = cfg
-        self._sw_list = sw_list if sw_list is not None else list(topo.switches.values())
-        self._idx_map: Optional[Dict[str, int]] = None  # built on first id lookup
-        self._n = len(self._sw_list)
-        # u_idx * n + v_idx -> (u_version, v_version, value)
-        self._static: Dict[int, Tuple[int, int, float]] = {}
-        self._ebit: Dict[int, Tuple[int, int, float]] = {}
-        self._versions: List[int] = [0] * self._n
-        self._static_by_param = static_by_param if static_by_param is not None else {}
-        self._ebit_by_param = ebit_by_param if ebit_by_param is not None else {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def _idx_of(self) -> Dict[str, int]:
-        """Switch id -> index, built on first object-API lookup.
-
-        The router's inner loop indexes by integer directly and never
-        needs this map, so per-attempt construction skips it.
-        """
-        m = self._idx_map
-        if m is None:
-            m = self._idx_map = {sw.id: i for i, sw in enumerate(self._sw_list)}
-        return m
-
-    def static_open_cost(self, u: Switch, v: Switch) -> float:
-        """Memoized :func:`_edge_static_open_cost` for ``u -> v``."""
-        ui = self._idx_of[u.id]
-        vi = self._idx_of[v.id]
-        vu = self._versions[ui]
-        vv = self._versions[vi]
-        key = ui * self._n + vi
-        entry = self._static.get(key)
-        if entry is not None and entry[0] == vu and entry[1] == vv:
-            self.hits += 1
-            return entry[2]
-        self.misses += 1
-        param = (
-            u.freq_mhz,
-            v.freq_mhz,
-            u.island != v.island,
-            u.n_in == 0 and u.n_out == 0,
-            v.n_in == 0 and v.n_out == 0,
-        )
-        value = self._static_by_param.get(param)
-        if value is None:
-            value = _edge_static_open_cost(self._topo, u, v, self._cfg)
-            self._static_by_param[param] = value
-        self._static[key] = (vu, vv, value)
-        return value
-
-    def traffic_ebit(self, u: Switch, v: Switch) -> float:
-        """Memoized :func:`_edge_traffic_ebit` for ``u -> v``."""
-        ui = self._idx_of[u.id]
-        vi = self._idx_of[v.id]
-        vu = self._versions[ui]
-        vv = self._versions[vi]
-        key = ui * self._n + vi
-        entry = self._ebit.get(key)
-        if entry is not None and entry[0] == vu and entry[1] == vv:
-            self.hits += 1
-            return entry[2]
-        self.misses += 1
-        param = (u.island != v.island, v.n_in, v.n_out)
-        value = self._ebit_by_param.get(param)
-        if value is None:
-            value = _edge_traffic_ebit(self._topo, u, v, self._cfg)
-            self._ebit_by_param[param] = value
-        self._ebit[key] = (vu, vv, value)
-        return value
-
-    def invalidate_switch(self, switch_id: str) -> None:
-        """Invalidate every cached term involving ``switch_id``.
-
-        Call for both endpoints after opening a link: the open changes
-        the endpoints' port counts (traffic term of edges into them)
-        and clears their first-use degeneracy (static term).
-        """
-        self._versions[self._idx_of[switch_id]] += 1
-
-    def is_current(self, u_id: str, v_id: str) -> bool:
-        """True if the pair entry for ``u_id -> v_id`` is still valid.
-
-        Introspection for tests; the lookup methods perform the same
-        check inline.
-        """
-        ui = self._idx_of[u_id]
-        vi = self._idx_of[v_id]
-        key = ui * self._n + vi
-        for table in (self._static, self._ebit):
-            entry = table.get(key)
-            if entry is not None and (
-                entry[0] != self._versions[ui] or entry[1] != self._versions[vi]
-            ):
-                return False
-        return True
-
-    def __len__(self) -> int:
-        return len(self._static) + len(self._ebit)
 
 
 # ----------------------------------------------------------------------
@@ -496,17 +353,13 @@ class PathAllocator:
         # clone or an AllocationResult describing why building failed.
         self._scaffold: Optional[Topology] = None
         self._scaffold_failure: Optional[AllocationResult] = None
-        # Parameter-keyed cost memos shared across attempts (the cost
-        # terms are pure in these parameters; see EdgeCostCache).
-        self._static_by_param: Dict[tuple, float] = {}
-        self._ebit_by_param: Dict[tuple, float] = {}
-        # Int-keyed views of the same pure-function memos for the
-        # router's inner loop.  Every switch is clocked at its island's
-        # planned frequency, so the static open cost is fully determined
-        # by (u.island, v.island, u fresh?, v fresh?) and the traffic
-        # energy per bit by (crossing?, v.n_in, v.n_out); the island
-        # pair encodes into each edge at adjacency build time, leaving
-        # one add/or plus a dict probe per lookup.
+        # Int-keyed pure-function cost memos for the router's inner
+        # loop, shared across attempts.  Every switch is clocked at its
+        # island's planned frequency, so the static open cost is fully
+        # determined by (u.island, v.island, u fresh?, v fresh?) and the
+        # traffic energy per bit by (crossing?, v.n_in, v.n_out); the
+        # island pair encodes into each edge at adjacency build time,
+        # leaving one add/or plus a dict probe per lookup.
         self._island_ix: Dict[int, int] = {
             isl: i
             for i, isl in enumerate(
@@ -518,12 +371,12 @@ class PathAllocator:
         # Pure-function memo: island-pair min frequency -> link capacity.
         self._cap_by_freq: Dict[float, float] = {}
         # Candidate adjacency hoisted across attempts (fast path only):
-        # (n_switches, src_island, dst_island) -> per-switch successor
-        # tuples.  Edges hold indices and attempt-invariant data only
-        # (islands, frequencies and size bounds never change between
+        # (n_switches, src_island, dst_island) -> successor rows, one per
+        # source island.  Edges hold indices and attempt-invariant data
+        # only (islands, frequencies and size bounds never change between
         # attempts), so one build serves every clone with the same
-        # intermediate count.
-        self._adj_store: Dict[Tuple[int, int, int], List[Optional[tuple]]] = {}
+        # intermediate count.  See _adjacency.
+        self._adj_store: Dict[Tuple[int, int, int], tuple] = {}
         # Direct-open dominance bound (fast path only), computed
         # lazily once per allocator: (enabled, e_bit floor, static
         # floor, intra/cross e_bit floors).  See _direct_open_bound.
@@ -559,6 +412,8 @@ class PathAllocator:
         self._cache_misses = 0
         # Searches answered by the O(1) direct-open shortcut.
         self._shortcuts = 0
+        # Pops whose open edges the class rule proved useless.
+        self._open_skips = 0
 
     @classmethod
     def for_topology(
@@ -961,9 +816,10 @@ class PathAllocator:
         # reference mode routes every flow through the full search.
         shortcut_on = False
         bound: Tuple[float, ...] = ()
-        # Outgoing pair keys per source index (subset view of
-        # pair_links), so the shortcut's "could the first edge of an
-        # alternative path reuse a link?" probe is O(out-degree).
+        # Outgoing pair keys per source index, ascending (subset view
+        # of pair_links), so the shortcut's "could the first edge of an
+        # alternative path reuse a link?" probe and the search's
+        # class-dominated pops are O(out-degree).
         out_keys: Dict[int, List[int]] = {}
         if use_memo:
             bound = self._direct_open_bound()
@@ -988,20 +844,16 @@ class PathAllocator:
             # pays the destination crossbar *plus* additional hops.
             # The full search would return exactly this path; skip it.
             if open_weight_ok and lat_cost_intra >= 0.0 and lat_cost_cross >= 0.0:
-                direct = pair_links.get(src_i * n + dst_i)
-                if direct:
-                    bw = flow.bandwidth_mbps
-                    for link in direct:
-                        if link.capacity_mbps - link._used_mbps + 1e-9 >= bw:
-                            crossing = (
-                                sw_list[src_i].island != sw_list[dst_i].island
-                            )
-                            found = (
-                                [(src_i, dst_i, _REUSE, link)],
-                                sw_cycles
-                                + (lat_cross_cycles if crossing else lat_intra_cycles),
-                            )
-                            break
+                link = _first_fit(
+                    pair_links.get(src_i * n + dst_i, ()), flow.bandwidth_mbps,
+                    None, None,
+                )
+                if link is not None:
+                    crossing = sw_list[src_i].island != sw_list[dst_i].island
+                    found = (
+                        [(src_i, dst_i, _REUSE, link)],
+                        sw_cycles + (lat_cross_cycles if crossing else lat_intra_cycles),
+                    )
                 # Direct-open dominance shortcut (fast path only): when
                 # opening the direct src->dst link is provably at most
                 # the cost of any two cheapest-possible edges, no
@@ -1019,6 +871,7 @@ class PathAllocator:
                 found = self._search(
                     topo, sw_list, n, adj_store, ranks, use_memo, pair_links,
                     flow, src_i, dst_i, lat_cost_intra, lat_cost_cross, port_reserve,
+                    out_keys=out_keys,
                 )
             if found is None:
                 return AllocationResult(
@@ -1036,7 +889,7 @@ class PathAllocator:
                 found2 = self._search(
                     topo, sw_list, n, adj_store, ranks, use_memo, pair_links,
                     flow, src_i, dst_i, lat_cost_intra, lat_cost_cross,
-                    port_reserve, latency_only=True,
+                    port_reserve, latency_only=True, out_keys=out_keys,
                 )
                 if found2 is not None:
                     hops2, lat2 = found2
@@ -1065,7 +918,7 @@ class PathAllocator:
                         if ok is None:
                             out_keys[ui] = [key]
                         else:
-                            ok.append(key)
+                            insort(ok, key)
                     else:
                         lst.append(link)
                 link_ids.append(link.id)
@@ -1301,22 +1154,15 @@ class PathAllocator:
         # *reusing* a link out of src (same residual criterion as the
         # search's reuse branch)?  And could any of them reuse a second
         # link straight into dst?  Both probes are O(out-degree of src).
-        reuse_mids: List[int] = []
-        for key in out_keys.get(src_i, ()):
-            for link in pair_links[key]:
-                if link.capacity_mbps - link._used_mbps + 1e-9 >= bw:
-                    reuse_mids.append(key - src_i * n)
-                    break
-        two_reuse = False
-        for w in reuse_mids:
-            lst = pair_links.get(w * n + dst_i)
-            if lst:
-                for link in lst:
-                    if link.capacity_mbps - link._used_mbps + 1e-9 >= bw:
-                        two_reuse = True
-                        break
-            if two_reuse:
-                break
+        reuse_mids = [
+            key - src_i * n
+            for key in out_keys.get(src_i, ())
+            if _first_fit(pair_links[key], bw, None, None) is not None
+        ]
+        two_reuse = any(
+            _first_fit(pair_links.get(w * n + dst_i, ()), bw, None, None) is not None
+            for w in reuse_mids
+        )
         if two_reuse:
             # A two-edge all-reuse path may exist; all we know is that
             # every alternative has at least two edges.
@@ -1388,16 +1234,26 @@ class PathAllocator:
     ) -> tuple:
         """Lazy allowed-successor structure for ``isl_a`` -> ``isl_b`` flows.
 
-        Returns ``(candidates, rows)``: the candidate switch indices in
-        insertion order and a per-switch row list.  ``rows[u_idx]`` is
-        the tuple of successors the shutdown-safety rule permits —
-        ``(v_idx, crossing, reserve_applies, v's size bound, new-link
-        capacity)`` — or ``None`` while unbuilt; :meth:`_successor_row`
-        materializes a row the first time the search pops its switch
-        (most candidates are never popped, so eager all-pairs
-        construction wasted the bulk of the adjacency work).  Everything
-        stored is attempt-invariant, so on the fast path one structure
-        serves every clone with the same switch count.
+        Returns ``(candidates, rows, row_maps)``: the candidate switch
+        indices in insertion order, a dict of successor rows, and the
+        same rows as ``{v_idx: edge}`` dicts (built only for
+        class-dominated pops, see :meth:`_search`).  A row is the tuple
+        of successors the shutdown-safety rule permits — ``(v_idx,
+        crossing, reserve_applies, v's size bound, new-link capacity,
+        static key base, e_bit key base)`` — in insertion order;
+        :meth:`_successor_row` materializes it the first time the search
+        pops a switch it serves (most candidates are never popped, so
+        eager all-pairs construction wasted the bulk of the adjacency
+        work).
+
+        A row depends on its switch only through the switch's island:
+        the switch itself is listed too, but the search marks it
+        visited before scanning, and every switch runs at its island's
+        clock.  So the fast path keys rows by island — one build per
+        island instead of one per switch — while the reference mode
+        keys them by switch index and builds each from its own switch.
+        Everything stored is attempt-invariant, so on the fast path one
+        structure serves every clone with the same switch count.
         """
         key = (n, isl_a, isl_b)
         entry = adj_store.get(key)
@@ -1406,7 +1262,7 @@ class PathAllocator:
             candidates = tuple(
                 i for i, s in enumerate(sw_list) if s.island in allowed
             )
-            entry = (candidates, [None] * n)
+            entry = (candidates, {}, {})
             adj_store[key] = entry
         return entry
 
@@ -1418,7 +1274,7 @@ class PathAllocator:
         isl_a: int,
         isl_b: int,
     ) -> tuple:
-        """Build the successor tuple of one candidate switch."""
+        """Build the successor tuple of one candidate switch's island."""
         mid = INTERMEDIATE_ISLAND
         max_sizes = self._max_sizes
         cap_by_freq = self._cap_by_freq
@@ -1431,8 +1287,6 @@ class PathAllocator:
         u_ix = island_ix[u_isl]
         edges = []
         for cj in candidates:
-            if cj == uidx:
-                continue
             v = sw_list[cj]
             v_isl = v.island
             if not _allowed_transition(u_isl, v_isl, isl_a, isl_b):
@@ -1464,7 +1318,7 @@ class PathAllocator:
         topo: Topology,
         sw_list: List[Switch],
         n: int,
-        adj_store: Dict[Tuple[int, int, int], List[Optional[tuple]]],
+        adj_store: Dict[Tuple[int, int, int], tuple],
         ranks: Tuple[List[int], List[int]],
         use_memo: bool,
         pair_links: Dict[int, List[Link]],
@@ -1479,6 +1333,7 @@ class PathAllocator:
         blocked_switches: Optional[Set[int]] = None,
         reserved: Optional[Mapping[int, float]] = None,
         allow_open: bool = True,
+        out_keys: Optional[Dict[int, List[int]]] = None,
     ) -> Optional[Tuple[List[Tuple[int, int, str, Optional[Link]]], int]]:
         """Dijkstra over the allowed switch graph.
 
@@ -1490,7 +1345,7 @@ class PathAllocator:
         pressure-weighted hop costs ``lat_cost_intra``/``lat_cost_cross``
         come precomputed from the flow plan.
 
-        The last four parameters serve backup-route allocation
+        The next four parameters serve backup-route allocation
         (:meth:`route_backup`) and default to "off" — primary routing
         passes ``None`` and skips every associated check.
         ``forbidden_links`` bans reusing specific physical links (the
@@ -1498,12 +1353,36 @@ class PathAllocator:
         specific switch indices (node-disjoint mode), ``reserved``
         charges spare-capacity reservations against link headroom, and
         ``allow_open=False`` restricts backups to existing hardware.
+        ``out_keys`` maps a switch index to its ascending outgoing pair
+        keys in ``pair_links``; primary routing passes the map it
+        maintains, and backup routing leaves it ``None`` for the search
+        to derive on first need.
+
+        **Class rule** (fast path only).  With the memos, an open edge
+        ``u -> v`` depends on ``u`` only through its class ``(u.island,
+        u fresh?)``: that fixes the static-cost key, the crossing and
+        reserve flags, the new link's capacity and ``u``'s size bound.
+        Call a pop *full-slack* when ``u`` could open an output port
+        even under the port reserve.  The first full-slack pop ``u0`` of
+        a class scans its row in full; a later full-slack pop ``u'`` of
+        the class has ``d' >= d0`` (every cost is non-negative, so pops
+        come in non-decreasing order), hence ``d' + c >= d0 + c >=
+        dist[v] - 1e-12`` for every open cost ``c`` by float
+        monotonicity — ``u0`` already offered ``v`` that exact cost
+        under the strict ``1e-12`` relaxation rule.  ``u'``'s open edges
+        can never relax anything, so it evaluates only its reuse edges.
+        Dead-edge evidence (``blocked``) stays exact: ``u0`` records the
+        successors that only a reusable link saved (the open was
+        infeasible on the ``v`` side, which ``u'`` shares), and ``u'``
+        is dead exactly on those of them it cannot reuse a link to.
         """
         cfg = self.cfg
         lib = self.library
         isl_a = sw_list[src_i].island
         isl_b = sw_list[dst_i].island
-        candidates, adj = self._adjacency(sw_list, n, adj_store, isl_a, isl_b)
+        candidates, rows, row_maps = self._adjacency(
+            sw_list, n, adj_store, isl_a, isl_b
+        )
         bw = flow.bandwidth_mbps
         allow_parallel = cfg.allow_parallel_links
         open_weight = cfg.open_cost_weight
@@ -1527,6 +1406,23 @@ class PathAllocator:
         misses = 0
         has_reserve = port_reserve != 0
         blocked = False  # any capacity/port rejection voids the mid skip
+        # Class rule (see docstring): class (island * 4 + fresh bit) ->
+        # the representative's reuse-rescued successors.  Needs opens
+        # that may parallel an existing link and non-negative costs
+        # (the shortcut's soundness check plus the latency terms).
+        reps: Optional[Dict[int, List[int]]] = None
+        if (
+            use_memo
+            and allow_open
+            and allow_parallel
+            and lat_cost_intra >= 0.0
+            and lat_cost_cross >= 0.0
+            and lat_intra >= 0
+            and lat_cross >= 0
+            and self._direct_open_bound()[0]
+        ):
+            reps = {}
+        skipped = 0
 
         max_sizes = self._max_sizes
         rank_of, idx_by_rank = ranks
@@ -1549,21 +1445,88 @@ class PathAllocator:
             pops += 1
             if uidx == dst_i:
                 break
-            edges = adj[uidx]
+            u = sw_list[uidx]
+            u_isl = u.island
+            row_key = u_isl if use_memo else uidx
+            edges = rows.get(row_key)
             if edges is None:
-                edges = adj[uidx] = self._successor_row(
+                edges = rows[row_key] = self._successor_row(
                     sw_list, candidates, uidx, isl_a, isl_b
                 )
-            if not edges:
-                continue
-            u = sw_list[uidx]
             u_n_in = u.n_in
             u_new_out = u.n_out + 1
             if u_n_in > u_new_out:
                 u_new_out = u_n_in
             u_fresh_bit = 2 if u_n_in == 0 and u.n_out == 0 else 0
-            lim_u_base = max_sizes[u.island]
+            lim_u_base = max_sizes[u_isl]
             ukey = uidx * n
+            rescued: Optional[List[int]] = None
+            if reps is not None and u_new_out + port_reserve <= lim_u_base:
+                cls = u_isl * 4 + u_fresh_bit
+                rep_rescued = reps.get(cls)
+                if rep_rescued is None:
+                    # First full-slack pop of its class: scan in full
+                    # and record the evidence later pops will need.
+                    rescued = reps[cls] = []
+                else:
+                    # Dominated pop: open edges cannot relax anything.
+                    skipped += 1
+                    if not blocked:
+                        for vidx in rep_rescued:
+                            if visited[vidx] or (
+                                blocked_switches is not None
+                                and vidx in blocked_switches
+                            ):
+                                continue
+                            if _first_fit(
+                                pair_links.get(ukey + vidx, ()), bw,
+                                forbidden_links, reserved,
+                            ) is None:
+                                blocked = True  # dead edge, as the full scan finds
+                                break
+                    if out_keys is None:
+                        out_keys = {}
+                        for key in sorted(pair_links):
+                            out_keys.setdefault(key // n, []).append(key)
+                    keys = out_keys.get(uidx)
+                    if not keys:
+                        continue
+                    row_map = row_maps.get(u_isl)
+                    if row_map is None:
+                        row_map = row_maps[u_isl] = {e[0]: e for e in edges}
+                    for key in keys:
+                        vidx = key - ukey
+                        edge = row_map.get(vidx)
+                        if edge is None or visited[vidx]:
+                            continue
+                        if blocked_switches is not None and vidx in blocked_switches:
+                            continue
+                        evals += 1
+                        # The reuse branch of the full scan below.
+                        link = _first_fit(pair_links[key], bw, forbidden_links, reserved)
+                        if link is None:
+                            continue
+                        if latency_only:
+                            cost = float(lat_cross if edge[1] else lat_intra)
+                        else:
+                            v = sw_list[vidx]
+                            ekey = edge[6] | (v.n_in << 11) | v.n_out
+                            ebit = ebit_by_key.get(ekey)
+                            if ebit is None:
+                                misses += 1
+                                ebit = _edge_traffic_ebit(topo, u, v, cfg)
+                                ebit_by_key[ekey] = ebit
+                            else:
+                                hits += 1
+                            cost = bits_per_s * ebit * to_mw + (
+                                lat_cost_cross if edge[1] else lat_cost_intra
+                            )
+                        nd = d + cost
+                        if nd < dist[vidx] - 1e-12:
+                            dist[vidx] = nd
+                            prev[vidx] = (uidx, _REUSE, link)
+                            heappush(heap, (nd, rank_of[vidx]))
+                    continue
             for (
                 vidx, crossing, reserve_applies, lim_v_base, capacity,
                 skey_base, ekey_base,
@@ -1591,14 +1554,8 @@ class PathAllocator:
                 # links can differ in residual capacity.
                 existing = pair_links.get(ukey + vidx)
                 if existing:
-                    for link in existing:
-                        if forbidden_links is not None and link.id in forbidden_links:
-                            continue
-                        avail = link.capacity_mbps - link._used_mbps
-                        if reserved is not None:
-                            avail -= reserved.get(link.id, 0.0)
-                        if avail + 1e-9 < bw:
-                            continue
+                    link = _first_fit(existing, bw, forbidden_links, reserved)
+                    if link is not None:
                         if latency_only:
                             best_cost = float(lat_cycles)
                         else:
@@ -1615,7 +1572,6 @@ class PathAllocator:
                                 ebit = _edge_traffic_ebit(topo, u, v, cfg)
                             best_cost = bits_per_s * ebit * to_mw + lat_cost
                         best_link = link
-                        break
                 # Open a new link (subject to size bounds and the
                 # parallel-link policy).
                 if allow_open and (allow_parallel or not existing):
@@ -1665,6 +1621,12 @@ class PathAllocator:
                             best_cost = cost
                             best_action = _OPEN
                             best_link = None
+                    elif rescued is not None and best_link is not None and not blocked:
+                        # Open infeasible on the v side (a class
+                        # representative has full slack), but a reusable
+                        # link saved the edge: later pops of the class
+                        # must re-check it (see the class rule).
+                        rescued.append(vidx)
                 if best_cost is inf:
                     # Dead edge: neither reuse nor open could serve this
                     # pair.  Only here could an indirect-switch bypass
@@ -1680,6 +1642,7 @@ class PathAllocator:
                     heappush(heap, (nd, rank_of[vidx]))
         self._pops += pops
         self._edge_evals += evals
+        self._open_skips += skipped
         if blocked:
             self._blocked = True
         if use_memo:
@@ -1700,11 +1663,12 @@ class PathAllocator:
             recorder.count("cost_cache_hits", self._cache_hits)
             recorder.count("cost_cache_misses", self._cache_misses)
             recorder.count("direct_open_shortcuts", self._shortcuts)
+            recorder.count("open_scans_skipped", self._open_skips)
         self._pops = self._edge_evals = 0
         self._scaffold_clones = self._scaffold_builds = 0
         self._links_opened = 0
         self._cache_hits = self._cache_misses = 0
-        self._shortcuts = 0
+        self._shortcuts = self._open_skips = 0
 
 
 # ----------------------------------------------------------------------

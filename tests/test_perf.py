@@ -1,25 +1,22 @@
 """Fast-path plumbing: instrumentation, cost caches, determinism.
 
 The synthesis fast path (scaffold cloning, partition memoization,
-edge-cost caching, and the path search's intermediate-dominance skip
-and direct-open shortcut) is only acceptable if it is invisible in the
-results: ``enable_caches`` on and off must yield byte-identical design
-spaces — design points, routes, power and latency figures, objective
-costs and the failure list, compared as exact floats.  These tests pin
-that contract, plus the cache-invalidation semantics and the
-PerfRecorder used to observe the hot path.  The path search's own
-parity cases (default config, objective costs, the shortcut's
-self-disabling, the ``slow`` large-SoC legs) are in
+edge-cost caching, and the path search's intermediate-dominance skip,
+direct-open shortcut and class rule) is only acceptable if it is
+invisible in the results: ``enable_caches`` on and off must yield
+byte-identical design spaces — design points, routes, power and
+latency figures, objective costs and the failure list, compared as
+exact floats.  These tests pin that contract, plus the PerfRecorder
+used to observe the hot path.  The path search's own parity cases
+(default config, objective costs, the shortcut's self-disabling, the
+class rule, backup routes, the ``slow`` large-SoC legs) are in
 ``test_kernel_parity.py``.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import SynthesisConfig, synthesize
-from repro.arch.topology import Topology
-from repro.core.paths import EdgeCostCache, PathAllocator, PathCostConfig
+from repro.core.paths import PathAllocator
 from repro.obs import span
 from repro.obs.context import current
 from repro.perf import PerfRecorder, recording
@@ -86,86 +83,6 @@ class TestPerfRecorder:
         assert rec.counters.get("partition_cache_hits", 0) == 0
         assert rec.counters.get("scaffold_clones", 0) == 0
         assert rec.counters["scaffold_builds"] > 0
-
-
-class TestEdgeCostCache:
-    @pytest.fixture()
-    def topo(self, tiny_spec):
-        t = Topology(tiny_spec, DEFAULT_LIBRARY, {0: 400.0, 1: 400.0})
-        t.add_switch(0, 0)
-        t.add_switch(0, 1)
-        t.add_switch(1, 0)
-        return t
-
-    def test_hit_after_miss(self, topo):
-        cache = EdgeCostCache(topo, PathCostConfig())
-        u, v, _ = topo.switches.values()
-        first = cache.static_open_cost(u, v)
-        assert cache.misses == 1
-        again = cache.static_open_cost(u, v)
-        assert again == first
-        assert cache.hits == 1
-        assert cache.is_current(u.id, v.id)
-        assert len(cache) == 1
-
-    def test_link_open_invalidates_both_endpoints(self, topo):
-        cache = EdgeCostCache(topo, PathCostConfig())
-        u, v, w = topo.switches.values()
-        stale_static = cache.static_open_cost(u, v)
-        stale_ebit = cache.traffic_ebit(w, v)
-
-        topo.open_link(u.id, v.id)
-        topo.open_link(w.id, v.id)
-        for sw in (u, v, w):
-            cache.invalidate_switch(sw.id)
-
-        assert not cache.is_current(u.id, v.id)
-        assert not cache.is_current(w.id, v.id)
-        # Opening the links consumed both endpoints' first-use
-        # degeneracy, so the recomputed static cost drops the
-        # clock-tree/leakage floor and must differ from the stale one.
-        fresh_static = cache.static_open_cost(u, v)
-        assert cache.misses >= 3
-        assert fresh_static < stale_static
-        # v now has two input ports, so edges into v pay a bigger
-        # crossbar than the stale single-port figure.
-        fresh_ebit = cache.traffic_ebit(w, v)
-        assert fresh_ebit > stale_ebit
-
-    def test_untouched_pairs_survive_invalidation(self, topo):
-        cache = EdgeCostCache(topo, PathCostConfig())
-        u, v, w = topo.switches.values()
-        value = cache.traffic_ebit(u, w)
-        cache.invalidate_switch(v.id)  # unrelated switch
-        assert cache.is_current(u.id, w.id)
-        cache.traffic_ebit(u, w)
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.traffic_ebit(u, w) == value
-
-    def test_invalidation_on_routed_topology(self):
-        """On a topology routed by the fast path, entries stay exact:
-        invalidation alone recomputes the same terms, and after a
-        further link open the recomputed terms equal a fresh cache's."""
-        topo = synthesize(make_tiny_spec(3)).best_by_power().topology
-        cfg = PathCostConfig()
-        cache = EdgeCostCache(topo, cfg)
-        u, v = list(topo.switches.values())[:2]
-        static = cache.static_open_cost(u, v)
-        ebit = cache.traffic_ebit(u, v)
-        assert cache.is_current(u.id, v.id)
-        cache.invalidate_switch(u.id)
-        assert not cache.is_current(u.id, v.id)
-        assert cache.static_open_cost(u, v) == static
-        assert cache.traffic_ebit(u, v) == ebit
-        assert cache.is_current(u.id, v.id)
-
-        topo.open_link(u.id, v.id)
-        cache.invalidate_switch(u.id)
-        cache.invalidate_switch(v.id)
-        fresh = EdgeCostCache(topo, cfg)
-        assert cache.static_open_cost(u, v) == fresh.static_open_cost(u, v)
-        assert cache.traffic_ebit(u, v) == fresh.traffic_ebit(u, v)
-        assert cache.traffic_ebit(u, v) > ebit  # v gained an input port
 
 
 class TestAllocatorCaching:
