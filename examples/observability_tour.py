@@ -142,7 +142,8 @@ def main() -> None:
 
     # 6: live streaming — the same sweep twice over, once through a
     # tail-able JSONL sink and once into memory, to show the
-    # live-vs-post-hoc byte-identity guarantee the bench harness gates.
+    # live-vs-post-hoc byte-identity guarantee tests/test_stream.py
+    # gates.
     live_path = os.path.join(OUT_DIR, "live_events.jsonl")
     capture = MemorySink()
     with streaming(EventBus(sinks=[capture, JsonlSink(live_path, timing=False)])):

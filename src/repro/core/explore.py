@@ -652,9 +652,6 @@ class ExplorationEngine:
             select=self.select,
         )
 
-    # Historical private name, used by older call sites.
-    _task = task
-
     # -- single-axis sweeps --------------------------------------------
 
     def island_count_tasks(
@@ -669,7 +666,7 @@ class ExplorationEngine:
             partition = _strategy_fn(strategy)
             for n in counts:
                 tasks.append(
-                    self._task(
+                    self.task(
                         partition(spec, n), {"islands": n, "strategy": strategy}
                     )
                 )
@@ -689,7 +686,7 @@ class ExplorationEngine:
         """Sweep the Definition-1 weight between bandwidth and latency."""
         return self.run(
             [
-                self._task(
+                self.task(
                     spec,
                     {"alpha": alpha},
                     config=dataclasses.replace(self.config, alpha=alpha),
@@ -707,7 +704,7 @@ class ExplorationEngine:
             if width <= 0:
                 raise SpecError("link width must be positive, got %r" % width)
             tasks.append(
-                self._task(
+                self.task(
                     spec,
                     {"width_bits": width},
                     library=dataclasses.replace(self.library, data_width_bits=width),
@@ -798,7 +795,7 @@ class ExplorationEngine:
             if width is not None:
                 knobs["width_bits"] = width
                 library = dataclasses.replace(library, data_width_bits=width)
-            tasks.append(self._task(task_spec, knobs, library=library, config=config))
+            tasks.append(self.task(task_spec, knobs, library=library, config=config))
         records = self.run(tasks)
         return GridResult(records=records, pareto=pareto_merge(records))
 

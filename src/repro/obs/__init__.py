@@ -15,7 +15,8 @@ traces).
 Determinism contract: span identity and ordering never touch the wall
 clock, every exporter orders its output canonically, and timing fields
 can be dropped at export (``timing=False``) — so byte-identical runs
-export byte-identical event sequences, which the bench harness gates.
+export byte-identical event sequences, which ``tests/test_obs.py`` and
+``tests/test_stream.py`` gate.
 """
 
 from .dashboard import (

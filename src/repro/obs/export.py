@@ -5,7 +5,7 @@ Every exporter is a pure function over a finished
 (or a telemetry event list) that produces deterministically ordered
 output.  Wall-clock numbers are confined to fields the caller can drop
 with ``timing=False``, so two byte-identical runs export byte-identical
-event sequences — the property the bench harness gates on.
+event sequences — the property ``tests/test_obs.py`` gates on.
 
 Formats:
 

@@ -16,12 +16,11 @@ Every metric takes optional labels (``registry.counter("x").inc(1,
 island=3, state="on")``); samples are keyed by the sorted label set so
 snapshot order — and therefore every exported byte — is deterministic.
 
-The legacy :class:`repro.perf.PerfRecorder` is absorbed behind a
-compatibility shim (:meth:`MetricsRegistry.absorb_perf`): its counters
-become ``perf.counters.<name>`` counters and its phase timers become
-``perf.phase_seconds`` counters labelled by phase, so existing
-consumers of ``BENCH_synthesis.json`` keep their numbers while new
-consumers read one registry.
+The hot-path :class:`repro.perf.PerfRecorder` is lifted into a
+registry by :meth:`MetricsRegistry.absorb_perf`: its counters become
+``perf.counters.<name>`` counters and its phase timers become
+``perf.phase_seconds`` counters labelled by phase, so the ``repro-noc
+obs`` dashboard and the Prometheus export read them from one registry.
 """
 
 from __future__ import annotations

@@ -206,8 +206,8 @@ class SpanRecorder:
     ``spans`` holds finished spans in *completion* order; use
     :meth:`ordered` (or :meth:`snapshot`) for the canonical start-order
     view.  ``process_meta`` maps each process label present in the
-    trace to the OS pid that recorded it — the cross-process merge
-    check in the bench harness reads it; exporters do not.
+    trace to the OS pid that recorded it.  It is bookkeeping only:
+    exporters list its labels but never write the pids.
     """
 
     def __init__(self, process: str = "main") -> None:

@@ -2,9 +2,10 @@
 
 Counters and phase seconds threaded through the hot path (path
 allocation, partitioning, evaluation) with near-zero overhead when
-disabled.  ``scripts/run_benchmarks.py`` uses this to emit the
-machine-readable ``BENCH_synthesis.json`` perf record; see
-``docs/performance.md`` for how to read it.
+disabled.  The benchmark (``perfbench/``) records them on its traced
+passes: the counters prove that a workload's code path ran, and the
+phase seconds give per-layer times of pool-backed sweeps.  See
+``docs/performance.md`` for what each counter means.
 """
 
 from .instrument import PerfRecorder, recording

@@ -12,15 +12,23 @@ text/HTML dashboard, and the ``repro-noc obs`` / ``control
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro import SynthesisConfig, protect_design_point, synthesize
+from repro import (
+    SynthesisConfig,
+    communication_partitioning,
+    protect_design_point,
+    synthesize,
+)
 from repro.cli import main
 from repro.control import TELEMETRY_KINDS, ReconfigurationController
 from repro.core.explore import ExplorationEngine
 from repro.exceptions import SpecError
 from repro.obs import (
+    EventBus,
+    MemorySink,
     MetricsRegistry,
     SpanRecorder,
     chrome_trace_events,
@@ -37,6 +45,7 @@ from repro.obs import (
     span,
     span_log_lines,
     stable_span_id,
+    streaming,
     telemetry_log_lines,
     tracing,
     write_lines,
@@ -46,6 +55,7 @@ from repro.obs.spans import _NULL_SPAN
 from repro.perf import PerfRecorder, recording
 from repro.resilience import FaultEvent, enumerate_scenarios, route_affected
 from repro.runtime import make_policy, markov_trace, simulate_trace
+from repro.soc.generator import GeneratorConfig, generate_soc
 from repro.soc.usecases import use_cases_for
 
 from _helpers import worker_payload
@@ -165,6 +175,35 @@ class TestSpans:
         assert "synthesis/evaluate" in paths
         root = next(s for s in tracer.spans if s.path == "synthesis")
         assert root.attrs["design_points"] >= 1
+
+    @pytest.mark.parametrize("num_cores", [10, 40])
+    def test_span_count_bounded_by_candidates(self, num_cores):
+        # Spans sit on per-candidate phases, never on a per-flow or
+        # per-edge path: the span count must not grow with the routing
+        # work (edge_evals rises ~27x from 10 to 40 cores, spans ~3x).
+        spec = communication_partitioning(
+            generate_soc(
+                GeneratorConfig(
+                    name="gen%d" % num_cores,
+                    num_cores=num_cores,
+                    num_groups=4,
+                    seed=7,
+                )
+            ),
+            4,
+        )
+        sink = MemorySink()
+        with recording(), tracing() as tracer, streaming(EventBus(sinks=[sink])):
+            space = synthesize(spec, config=FAST)
+        names = Counter(s.name for s in tracer.spans)
+        assert set(names) <= {"synthesis", "partition", "allocate", "evaluate"}
+        candidates = len(space) + len(space.failures)
+        assert names["synthesis"] == 1
+        assert names["partition"] <= candidates
+        assert names["evaluate"] <= candidates
+        assert names["allocate"] <= (1 + FAST.max_intermediate) * candidates
+        streamed = [e.attrs["span_id"] for e in sink.events if e.kind == "span"]
+        assert sorted(streamed) == sorted(s.span_id for s in tracer.spans)
 
     def test_simulate_span(self, tiny_spec, tiny_best):
         trace = markov_trace(use_cases_for(tiny_spec), n_segments=8, seed=3)
